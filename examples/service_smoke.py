@@ -5,7 +5,10 @@ Drives an :class:`~repro.service.AllocationService` over the in-process
 transport through a full daemon lifecycle: a burst of arrivals (one
 coalesced step), churn with departures, an explicit rebalance, the
 certification check against the super-optimal bound, and a snapshot +
-restore that must reproduce the cluster state bit-identically.  Exits
+restore that must reproduce the cluster state bit-identically.  A second
+daemon then serves the paper's own workload (Section VII quadspline
+utilities, which the scheduler packs into one array batch): every submit
+must be admitted and the certified ratio must stay at least α.  Exits
 non-zero on any violated invariant.
 
 Run:  PYTHONPATH=src python examples/service_smoke.py
@@ -25,7 +28,9 @@ from repro.service import (
     Snapshot,
     SubmitThread,
 )
+from repro.utility.batch import QuadSplineBatch
 from repro.utility.functions import LogUtility, SaturatingUtility
+from repro.workloads import UniformDistribution, paper_utilities
 
 N_SERVERS = 3
 CAPACITY = 100.0
@@ -68,12 +73,39 @@ def main() -> int:
     )[0]
     assert resp.ok, resp.error
 
+    paper = paper_smoke()
     print(
         f"service smoke OK: {status['n_threads']} threads on {N_SERVERS} servers, "
         f"utility {status['total_utility']:.4f} = {ratio:.4f} × bound "
-        f"(α = {ALPHA:.4f}), snapshot round trip bit-identical"
+        f"(α = {ALPHA:.4f}), snapshot round trip bit-identical; "
+        f"{paper['n_threads']} paper threads certified at {paper['last_ratio']:.4f}"
     )
     return 0
+
+
+def paper_smoke() -> dict:
+    """Paper quadspline churn: no refusals, ratio >= α, packed residents."""
+    service = AllocationService(ClusterState(N_SERVERS, CAPACITY))
+    bus = InProcessTransport(service)
+    utilities = paper_utilities(UniformDistribution(), 60, CAPACITY, seed=7).functions()
+    # Blocks of eight submits, each block also retiring the two oldest threads.
+    for start in range(0, len(utilities), 8):
+        block = [
+            SubmitThread(f"q{start + k}", f)
+            for k, f in enumerate(utilities[start:start + 8])
+        ]
+        if start:
+            block += [RemoveThread(f"q{start - 8}"), RemoveThread(f"q{start - 7}")]
+        responses = bus.request(*block)
+        refused = [r.error for r in responses if not r.ok]
+        assert not refused, f"paper submits refused: {refused}"
+    assert isinstance(service.state.scheduler.problem().utilities, QuadSplineBatch), (
+        "paper quadsplines were not packed into one array batch"
+    )
+    status = bus.request(QueryAssignment())[0].data
+    ratio = status["last_ratio"]
+    assert ratio >= ALPHA - 1e-9, f"paper certified ratio {ratio:.4f} below α={ALPHA:.4f}"
+    return status
 
 
 if __name__ == "__main__":

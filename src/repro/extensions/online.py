@@ -12,6 +12,35 @@ assignment under churn:
   count as migrations and pay ``migration_cost`` each, so callers can
   weigh re-optimization gain against movement cost.
 
+Resident layout.  Residents are rows in insertion order: one packed
+utility batch (:func:`~repro.utility.batch.pack_utilities` — a
+:class:`~repro.utility.batch.QuadSplineBatch` when every resident is a
+paper quadspline, else a :class:`~repro.utility.batch.GenericBatch`), an
+int ``server`` column, a float ``alloc`` column and an id → row index.
+The scalar utility objects are kept only for serialization.
+
+Every fill prices servers in lock-step.  Each server's λ is one entry of
+a price vector that :func:`~repro.allocation.grouped.water_fill_grouped`
+bisects for all servers at once:
+
+* :meth:`OnlineScheduler.placement_gain` runs **one** grouped fill per
+  arrival over the residents (group = their server) plus ``m`` copies of
+  the newcomer (copy ``j`` in group ``j``); server ``j``'s gain is its
+  group's utility minus its current utility, the best server is the first
+  argmax, and :meth:`~OnlineScheduler.add_thread` applies the chosen
+  group's allocations from that same fill instead of filling again;
+* the gain is clamped at ``0.0``: the newcomer may take nothing, so adding
+  a thread never lowers a water-filled optimum, and a negative difference
+  is bisection noise (an admission floor of 0 would otherwise refuse it);
+* departures and capacity changes only mark servers stale; a server's
+  fill depends on its resident set alone, so every stale server is
+  re-filled together in one grouped call before the next read.
+
+:meth:`~OnlineScheduler.problem` and :meth:`~OnlineScheduler.total_utility`
+are memoized until the next mutation, so a service step's certificate and
+its replan share one :class:`~repro.core.problem.AAProblem` (and one
+cached linearization).
+
 :class:`AdaptiveScheduler` layers measurement on top: utilities start
 unknown, throughput observations stream in, and planning uses the current
 concave fits (:mod:`repro.utility.calibration`).
@@ -19,15 +48,19 @@ concave fits (:mod:`repro.utility.calibration`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.allocation.waterfill import water_fill
+from repro.allocation.grouped import water_fill_grouped
+# Unused here (every fill is grouped), but perfbench's traced pass wraps
+# ``water_fill`` where this module binds it.
+from repro.allocation.waterfill import water_fill  # noqa: F401
 from repro.core.problem import AAProblem, Assignment
 from repro.core.solve import solve
 from repro.utility.base import UtilityFunction
-from repro.utility.batch import GenericBatch
+from repro.utility.batch import UtilityBatch, concat_batches, pack_utilities
 from repro.utility.calibration import OnlineUtilityEstimator
 
 
@@ -43,6 +76,40 @@ class RebalanceReport:
     @property
     def net_gain(self) -> float:
         return self.utility_after - self.utility_before - self.migration_cost
+
+
+@dataclass(frozen=True)
+class _Placement:
+    """One arrival priced on every server; valid until the next mutation."""
+
+    utility: UtilityFunction
+    server: int
+    gain: float
+    #: The priced batch: residents, then one copy of the newcomer per server.
+    batch: UtilityBatch
+    #: Rows of the chosen server's residents and their allocations with
+    #: the newcomer present.
+    members: np.ndarray
+    member_alloc: np.ndarray
+    #: The newcomer's own allocation on the chosen server.
+    alloc: float
+
+
+class _AllocView:
+    """Id-keyed write access to the allocation column.
+
+    Writes bypass every invariant (perfbench corrupts a state through it on
+    purpose and checks that validation catches it).
+    """
+
+    def __init__(self, scheduler: "OnlineScheduler") -> None:
+        self._scheduler = scheduler
+
+    def __setitem__(self, thread_id: str, allocation: float) -> None:
+        s = self._scheduler
+        s._settle()
+        s._alloc[s._row_of(thread_id)] = float(allocation)
+        s._moved()
 
 
 class OnlineScheduler:
@@ -67,80 +134,182 @@ class OnlineScheduler:
         self.migration_cost = float(migration_cost)
         #: Registry name of the algorithm :meth:`rebalance` re-solves with.
         self.solver = str(solver)
-        self._threads: dict[str, UtilityFunction] = {}
-        self._server_of: dict[str, int] = {}
-        self._alloc_of: dict[str, float] = {}
         self.total_migrations = 0
+        # Resident rows, insertion order.
+        self._ids: list[str] = []
+        self._utils: list[UtilityFunction] = []
+        self._rows: dict[str, int] = {}
+        self._server = np.zeros(0, dtype=np.int64)
+        self._alloc = np.zeros(0)
+        #: Packed residents; ``None`` until the next use repacks them.
+        self._batch: UtilityBatch | None = None
+        #: Servers whose allocations await a re-fill (see :meth:`_settle`).
+        self._stale: set[int] = set()
+        # Views memoized until the next mutation.
+        self._problem_memo: AAProblem | None = None
+        self._total_memo: float | None = None
+        self._server_utility: np.ndarray | None = None
+        self._placement_memo: _Placement | None = None
+
+    # -- layout ----------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, thread_id: object) -> bool:
+        return thread_id in self._rows
+
+    def _row_of(self, thread_id: str) -> int:
+        try:
+            return self._rows[thread_id]
+        except KeyError:
+            raise KeyError(f"unknown thread {thread_id!r}") from None
+
+    def _packed(self) -> UtilityBatch:
+        if self._batch is None:
+            self._batch = pack_utilities(self._utils)
+        return self._batch
+
+    def _moved(self) -> None:
+        """Servers or allocations changed: drop the allocation-dependent views."""
+        self._total_memo = None
+        self._server_utility = None
+        self._placement_memo = None
+
+    def _reshaped(self) -> None:
+        """Residents, their utilities or the capacity changed: drop every view."""
+        self._problem_memo = None
+        self._moved()
+
+    def _append(self, thread_id: str, utility: UtilityFunction, server: int, alloc: float) -> None:
+        self._rows[thread_id] = len(self._ids)
+        self._ids.append(thread_id)
+        self._utils.append(utility)
+        self._server = np.append(self._server, np.int64(server))
+        self._alloc = np.append(self._alloc, float(alloc))
+        self._batch = None
+        self._reshaped()
+
+    def _settle(self) -> None:
+        """Re-fill every stale server, all of them in one grouped call."""
+        if not self._stale:
+            return
+        touched = np.array(sorted(self._stale), dtype=np.int64)
+        self._stale.clear()
+        rows = np.flatnonzero(np.isin(self._server, touched))
+        if rows.size == 0:
+            return
+        batch = self._packed()
+        if rows.size < len(batch):
+            batch = batch.subset(rows)
+        fill = water_fill_grouped(
+            batch,
+            np.searchsorted(touched, self._server[rows]),
+            np.full(touched.size, self.capacity),
+        )
+        self._alloc[rows] = fill.allocations
+
+    def _server_utilities(self) -> np.ndarray:
+        """Each server's current utility (settled state)."""
+        if self._server_utility is None:
+            self._server_utility = np.bincount(
+                self._server, weights=self._packed().value(self._alloc), minlength=self.n_servers
+            )
+        return self._server_utility
 
     # -- views ---------------------------------------------------------------
 
     @property
     def thread_ids(self) -> list[str]:
-        return list(self._threads)
+        return list(self._ids)
+
+    @property
+    def _alloc_of(self) -> _AllocView:
+        return _AllocView(self)
 
     def _problem(self) -> AAProblem:
-        batch = GenericBatch([self._threads[t] for t in self._threads])
-        return AAProblem(batch, n_servers=self.n_servers, capacity=self.capacity)
+        return AAProblem(self._packed(), n_servers=self.n_servers, capacity=self.capacity)
 
     def problem(self) -> AAProblem:
-        """The current residents as an AA instance (thread-id insertion order)."""
-        return self._problem()
+        """The current residents as an AA instance (thread-id insertion order).
+
+        The same object is returned until the residents, their utilities or
+        the capacity change, so linearizations cached against it stay hits.
+        """
+        if self._problem_memo is None:
+            self._problem_memo = self._problem()
+        return self._problem_memo
 
     def placement_of(self, thread_id: str) -> tuple[int, float]:
         """Current ``(server, allocation)`` of one resident thread."""
-        try:
-            return self._server_of[thread_id], self._alloc_of[thread_id]
-        except KeyError:
-            raise KeyError(f"unknown thread {thread_id!r}") from None
+        row = self._row_of(thread_id)
+        self._settle()
+        return int(self._server[row]), float(self._alloc[row])
+
+    def residents(self) -> Iterator[tuple[str, UtilityFunction, int, float]]:
+        """``(id, utility, server, allocation)`` per resident, insertion order."""
+        self._settle()
+        for k, thread_id in enumerate(self._ids):
+            yield thread_id, self._utils[k], int(self._server[k]), float(self._alloc[k])
 
     def assignment(self) -> Assignment:
         """Current assignment in thread-id insertion order."""
-        ids = self.thread_ids
-        return Assignment(
-            servers=np.array([self._server_of[t] for t in ids], dtype=np.int64),
-            allocations=np.array([self._alloc_of[t] for t in ids]),
-        )
+        self._settle()
+        return Assignment(servers=self._server.copy(), allocations=self._alloc.copy())
 
     def total_utility(self) -> float:
-        if not self._threads:
+        if not self._ids:
             return 0.0
-        return self.assignment().total_utility(self._problem())
-
-    def _refill_server(self, server: int) -> None:
-        """Re-water-fill one server's capacity among its residents."""
-        ids = [t for t, j in self._server_of.items() if j == server]
-        if not ids:
-            return
-        batch = GenericBatch([self._threads[t] for t in ids])
-        res = water_fill(batch, self.capacity)
-        for t, c in zip(ids, res.allocations):
-            self._alloc_of[t] = float(c)
+        if self._total_memo is None:
+            self._settle()
+            self._total_memo = self._packed().total(self._alloc)
+        return self._total_memo
 
     # -- churn ----------------------------------------------------------------
+
+    def _placement(self, utility: UtilityFunction) -> _Placement:
+        """Price ``utility`` on every server in one grouped water-fill."""
+        memo = self._placement_memo
+        if memo is not None and memo.utility is utility:
+            return memo
+        if utility.cap > self.capacity * (1 + 1e-9):
+            raise ValueError("utility cap exceeds server capacity")
+        self._settle()
+        m, n = self.n_servers, len(self._ids)
+        copies = pack_utilities([utility] * m)
+        batch = concat_batches([self._packed(), copies]) if n else copies
+        fill = water_fill_grouped(
+            batch,
+            np.concatenate([self._server, np.arange(m, dtype=np.int64)]),
+            np.full(m, self.capacity),
+        )
+        gains = fill.group_utilities - self._server_utilities()
+        best = int(np.argmax(gains))
+        members = np.flatnonzero(self._server == best)
+        self._placement_memo = _Placement(
+            utility=utility,
+            server=best,
+            gain=max(float(gains[best]), 0.0),
+            batch=batch,
+            members=members,
+            member_alloc=fill.allocations[members],
+            alloc=float(fill.allocations[n + best]),
+        )
+        return self._placement_memo
 
     def placement_gain(self, utility: UtilityFunction) -> tuple[int, float]:
         """Best greedy placement for a hypothetical new thread.
 
-        Returns ``(server, gain)`` where ``gain`` is the total-utility
+        Returns ``(server, gain)`` where ``gain >= 0`` is the total-utility
         increase from re-water-filling that server with the thread present
         (no existing thread moves, nothing is mutated).  This is the
         *projected marginal utility* the allocation service's admission
-        control compares against its floor before accepting a thread.
+        control compares against its floor before accepting a thread.  A
+        following :meth:`add_thread` of the same utility object reuses this
+        fill.
         """
-        if utility.cap > self.capacity * (1 + 1e-9):
-            raise ValueError("utility cap exceeds server capacity")
-        best_server, best_gain = 0, -np.inf
-        for j in range(self.n_servers):
-            ids = [t for t, s in self._server_of.items() if s == j]
-            before = sum(
-                float(self._threads[t].value(self._alloc_of[t])) for t in ids
-            )
-            batch = GenericBatch([self._threads[t] for t in ids] + [utility])
-            after = water_fill(batch, self.capacity).total_utility
-            gain = after - before
-            if gain > best_gain:
-                best_gain, best_server = gain, j
-        return best_server, float(best_gain)
+        placement = self._placement(utility)
+        return placement.server, placement.gain
 
     def add_thread(self, thread_id: str, utility: UtilityFunction) -> int:
         """Place a new thread greedily; returns the chosen server.
@@ -148,14 +317,17 @@ class OnlineScheduler:
         The thread joins the server where re-water-filling with it present
         yields the largest total-utility gain (no existing thread moves).
         """
-        if thread_id in self._threads:
+        if thread_id in self._rows:
             raise ValueError(f"thread {thread_id!r} already scheduled")
-        best_server, _ = self.placement_gain(utility)
-        self._threads[thread_id] = utility
-        self._server_of[thread_id] = best_server
-        self._alloc_of[thread_id] = 0.0
-        self._refill_server(best_server)
-        return best_server
+        placement = self._placement(utility)
+        n = len(self._ids)
+        self._alloc[placement.members] = placement.member_alloc
+        self._append(thread_id, utility, placement.server, placement.alloc)
+        if placement.batch.supports_vectorized:
+            # The priced batch already holds the newcomer packed with the
+            # residents; a loop-backed one is repacked on next use instead.
+            self._batch = placement.batch.subset(np.append(np.arange(n), n + placement.server))
+        return placement.server
 
     def restore_thread(
         self,
@@ -170,7 +342,7 @@ class OnlineScheduler:
         thread lands exactly where the serialized state says it was, so a
         restored scheduler is bit-identical to the one that was saved.
         """
-        if thread_id in self._threads:
+        if thread_id in self._rows:
             raise ValueError(f"thread {thread_id!r} already scheduled")
         if not 0 <= int(server) < self.n_servers:
             raise ValueError(f"server {server!r} out of range [0, {self.n_servers})")
@@ -178,9 +350,7 @@ class OnlineScheduler:
             raise ValueError("utility cap exceeds server capacity")
         if not 0 <= allocation <= self.capacity * (1 + 1e-9):
             raise ValueError(f"allocation {allocation!r} outside [0, {self.capacity}]")
-        self._threads[thread_id] = utility
-        self._server_of[thread_id] = int(server)
-        self._alloc_of[thread_id] = float(allocation)
+        self._append(thread_id, utility, int(server), float(allocation))
 
     def update_capacity(self, capacity: float) -> None:
         """Resize every server to ``capacity`` and re-fill all allocations.
@@ -190,23 +360,33 @@ class OnlineScheduler:
         """
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
-        for t, f in self._threads.items():
-            if f.cap > capacity * (1 + 1e-9):
-                raise ValueError(
-                    f"thread {t!r} has utility cap {f.cap!r} above new capacity {capacity!r}"
-                )
+        caps = self._packed().caps
+        over = np.flatnonzero(caps > capacity * (1 + 1e-9))
+        if over.size:
+            k = int(over[0])
+            raise ValueError(
+                f"thread {self._ids[k]!r} has utility cap {float(caps[k])!r} "
+                f"above new capacity {capacity!r}"
+            )
         self.capacity = float(capacity)
-        for j in range(self.n_servers):
-            self._refill_server(j)
+        self._stale.update(range(self.n_servers))
+        self._reshaped()
 
     def remove_thread(self, thread_id: str) -> None:
         """Drop a thread and hand its resource to its server's residents."""
-        try:
-            server = self._server_of.pop(thread_id)
-        except KeyError:
-            raise KeyError(f"unknown thread {thread_id!r}") from None
-        del self._threads[thread_id], self._alloc_of[thread_id]
-        self._refill_server(server)
+        row = self._row_of(thread_id)
+        self._stale.add(int(self._server[row]))
+        del self._rows[thread_id], self._ids[row], self._utils[row]
+        for k in range(row, len(self._ids)):
+            self._rows[self._ids[k]] = k
+        self._server = np.delete(self._server, row)
+        self._alloc = np.delete(self._alloc, row)
+        batch = self._batch
+        if batch is not None and batch.supports_vectorized:
+            self._batch = batch.subset(np.delete(np.arange(len(batch)), row))
+        else:
+            self._batch = None  # may repack into an array family now
+        self._reshaped()
 
     def rebalance(self, ctx=None, max_migrations: int | None = None) -> RebalanceReport:
         """Full re-solve with the configured ``solver`` (default Algorithm 2);
@@ -218,21 +398,18 @@ class OnlineScheduler:
         re-solve outright when it would move more threads than allowed.
         """
         before = self.total_utility()
-        if not self._threads:
+        if not self._ids:
             return RebalanceReport(before, before, 0, 0.0)
-        ids = self.thread_ids
-        sol = solve(self._problem(), algorithm=self.solver, ctx=ctx)
-        moved = sum(
-            1 for t, j in zip(ids, sol.assignment.servers) if self._server_of[t] != j
-        )
+        sol = solve(self.problem(), algorithm=self.solver, ctx=ctx)
+        moved = int(np.count_nonzero(self._server != sol.assignment.servers))
         cost = moved * self.migration_cost
         if max_migrations is not None and moved > max_migrations:
             return RebalanceReport(before, before, 0, 0.0)
         if sol.total_utility - cost <= before:
             return RebalanceReport(before, before, 0, 0.0)
-        for t, j, c in zip(ids, sol.assignment.servers, sol.assignment.allocations):
-            self._server_of[t] = int(j)
-            self._alloc_of[t] = float(c)
+        self._server = np.asarray(sol.assignment.servers, dtype=np.int64).copy()
+        self._alloc = np.asarray(sol.assignment.allocations, dtype=float).copy()
+        self._moved()
         self.total_migrations += moved
         return RebalanceReport(before, sol.total_utility, moved, cost)
 
@@ -280,12 +457,13 @@ class AdaptiveScheduler(OnlineScheduler):
             raise KeyError(f"unknown thread {thread_id!r}") from None
 
     def replan_from_measurements(self, ctx=None) -> RebalanceReport:
-        """Swap in the current concave fits, then rebalance."""
+        """Swap in the current concave fits, repack, then rebalance."""
         for t, est in self._estimators.items():
             fitted = est.estimate()
-            if fitted is not None:
-                self._threads[t] = fitted
+            if fitted is not None and t in self._rows:
+                self._utils[self._rows[t]] = fitted
+        self._batch = None
         # Allocations may now be valued differently; refill before comparing.
-        for j in range(self.n_servers):
-            self._refill_server(j)
+        self._stale.update(range(self.n_servers))
+        self._reshaped()
         return self.rebalance(ctx=ctx)

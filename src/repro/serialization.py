@@ -183,11 +183,11 @@ def scheduler_state_to_dict(scheduler) -> dict[str, Any]:
         "threads": [
             {
                 "id": t,
-                "server": int(scheduler._server_of[t]),
-                "allocation": float(scheduler._alloc_of[t]),
+                "server": server,
+                "allocation": allocation,
                 "utility": _encode_utility(f),
             }
-            for t, f in scheduler._threads.items()
+            for t, f, server, allocation in scheduler.residents()
         ],
     }
 

@@ -439,7 +439,7 @@ class AllocationService:
 
     def _admit(self, req: SubmitThread, ctx: SolveContext) -> Response:
         """Admission-check one submission and greedily place it if accepted."""
-        if req.thread_id in self.state.scheduler.thread_ids:
+        if req.thread_id in self.state.scheduler:
             return Response.failure(
                 req.op,
                 f"thread {req.thread_id!r} already scheduled",

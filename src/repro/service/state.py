@@ -76,7 +76,7 @@ class ClusterState:
 
     @property
     def n_threads(self) -> int:
-        return len(self.scheduler.thread_ids)
+        return len(self.scheduler)
 
     @property
     def thread_ids(self) -> list[str]:

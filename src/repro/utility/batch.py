@@ -346,6 +346,28 @@ def as_batch(utilities) -> UtilityBatch:
     return GenericBatch(utilities)
 
 
+def pack_utilities(functions: Sequence[UtilityFunction]) -> UtilityBatch:
+    """Scalar utilities in their array family when they all share one.
+
+    Paper quadsplines (:class:`ConcaveQuadSpline` with the interior anchor
+    at ``cap / 2``) pack into a :class:`QuadSplineBatch`, whose elementwise
+    arithmetic is the scalar class's own.  Anything else, a mix, or an
+    empty list stays a :class:`GenericBatch` over the same objects.
+    """
+    functions = list(functions)
+    if functions and all(
+        type(f) is ConcaveQuadSpline and f.xm == 0.5 * f.cap for f in functions
+    ):
+        params = np.array([(f.v, f.w, f.cap) for f in functions], dtype=float)
+        try:
+            return QuadSplineBatch(params[:, 0], params[:, 1], params[:, 2])
+        except ValueError:
+            # The scalar class admits concave anchors a hair past the
+            # batch's w <= v tolerance; those stay scalar.
+            pass
+    return GenericBatch(functions)
+
+
 def concat_batches(batches: Sequence[UtilityBatch]) -> UtilityBatch:
     """Stack same-family batches into one flat batch (thread-major).
 

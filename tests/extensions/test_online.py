@@ -307,3 +307,45 @@ def test_adaptive_replan_without_data_keeps_prior():
     ad.register("a")
     rep = ad.replan_from_measurements()
     assert rep.utility_after >= 0.0
+
+
+# -- placement gain is never negative ----------------------------------------
+
+
+def test_placement_gain_never_negative_for_paper_quadsplines():
+    """A newcomer that gets no share still gains exactly 0, never -ulp.
+
+    With 32 paper threads on 2 servers the 33rd arrival's best water-fill
+    leaves it nothing; the before/after utility difference is then pure
+    bisection noise (once -4.4e-16), which an admission floor of 0 refused.
+    """
+    from repro.workloads import UniformDistribution, paper_utilities
+
+    fns = paper_utilities(UniformDistribution(), 48, 1000.0, seed=7).functions()
+    s = OnlineScheduler(2, 1000.0)
+    for k, f in enumerate(fns):
+        _, gain = s.placement_gain(f)
+        assert gain >= 0.0, (k, gain)
+        s.add_thread(f"t{k}", f)
+
+
+def test_placement_gain_is_clamped_at_zero():
+    """Restored allocations may overshoot C by the restore tolerance; the
+    fill then values the server a hair below its current utility, and a
+    newcomer that takes nothing must still report a gain of exactly 0."""
+    from repro.utility.functions import LinearUtility, ZeroUtility
+
+    s = OnlineScheduler(1, CAP)
+    for t in ("a", "b"):
+        s.restore_thread(t, LinearUtility(1.0, CAP), server=0, allocation=CAP / 2 * (1 + 1e-10))
+    assert s.placement_gain(ZeroUtility(CAP)) == (0, 0.0)
+
+
+def test_zero_gain_submit_is_admitted():
+    from repro.service import AllocationService, ClusterState, InProcessTransport, SubmitThread
+    from repro.workloads import UniformDistribution, paper_utilities
+
+    fns = paper_utilities(UniformDistribution(), 48, 1000.0, seed=7).functions()
+    bus = InProcessTransport(AllocationService(ClusterState(2, 1000.0)))
+    responses = bus.request(*[SubmitThread(f"t{k}", f) for k, f in enumerate(fns)])
+    assert [r.error for r in responses if not r.ok] == []

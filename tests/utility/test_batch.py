@@ -11,8 +11,10 @@ from repro.utility.batch import (
     QuadSplineBatch,
     SharedGridPWLBatch,
     as_batch,
+    pack_utilities,
 )
 from repro.utility.functions import LinearUtility, LogUtility
+from repro.utility.quadspline import ConcaveQuadSpline
 
 CAP = 50.0
 
@@ -160,3 +162,21 @@ def test_empty_allocation_handling():
     batch = _quad_batch(n=3)
     out = batch.value(np.zeros(3))
     assert np.allclose(out, 0.0)
+
+
+def test_pack_utilities_packs_paper_quadsplines_only():
+    fns = _quad_batch(6).functions()
+    packed = pack_utilities(fns)
+    assert isinstance(packed, QuadSplineBatch)
+    c = np.linspace(0.0, CAP, 6)
+    assert np.array_equal(packed.value(c), [float(f.value(x)) for f, x in zip(fns, c)])
+    # a mix, an off-centre anchor, a hair-past-tolerance anchor: scalar fallback
+    for odd in (
+        LogUtility(1.0, 1.0, CAP),
+        ConcaveQuadSpline(2.0, 1.0, CAP, xm=CAP / 4),
+        ConcaveQuadSpline(1.0, 1.0 + 1e-10, 1000.0),
+    ):
+        mixed = pack_utilities(fns + [odd])
+        assert isinstance(mixed, GenericBatch)
+        assert mixed.functions()[-1] is odd
+    assert isinstance(pack_utilities([]), GenericBatch)
