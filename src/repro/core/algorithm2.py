@@ -4,9 +4,11 @@ Section VI of the paper: sort threads by their super-optimal utility
 ``g_i(ĉ_i)`` (nonincreasing), then re-sort threads ``m+1 … n`` of that
 ordering by the ramp slope ``g_i(ĉ_i)/ĉ_i`` (nonincreasing).  Walk the
 threads in order, always assigning to the server with the most remaining
-resource and granting ``min(ĉ_i, residual)``.  A max-heap over server
-residuals makes each step ``O(log m)``; the super-optimal allocation
-dominates the total running time.
+resource and granting ``min(ĉ_i, residual)``.  A ``heapq`` max-heap of
+``(-residual, server)`` keys makes each step one peek and one
+``heapreplace``, ``O(log m)``; the super-optimal allocation dominates the
+total running time.  :func:`max_residual_walk` is that walk, shared with
+the discrete pipeline and the heterogeneous-capacity greedy.
 
 Both sorts are stable with index tie-breaks, so runs are deterministic and
 the Theorem V.17 tightness instance reproduces its 5/6 ratio exactly.
@@ -14,6 +16,7 @@ the Theorem V.17 tightness instance reproduces its 5/6 ratio exactly.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,25 +25,81 @@ from repro.core.linearize import Linearization, linearize
 from repro.core.problem import ALPHA, AAProblem, Assignment
 from repro.engine.registry import register_solver
 from repro.observability import ALG2_HEAP_OPS
-from repro.utils.heaps import IndexedMaxHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import SolveContext
 
 
-def thread_order(lin: Linearization, n_servers: int) -> np.ndarray:
+def two_key_order(top: np.ndarray, slope: np.ndarray, n_servers: int) -> np.ndarray:
     """The two-key processing order of Algorithm 2 (lines 1-2).
 
-    Stable sorts: equal keys keep ascending thread index, matching the
-    deterministic tie-breaking used throughout the library.
+    Threads by ``top`` nonincreasing; positions ``n_servers`` onward are
+    re-sorted by ``slope`` nonincreasing.  Stable sorts: equal keys keep
+    ascending thread index, matching the deterministic tie-breaking used
+    throughout the library.
     """
-    top_order = np.argsort(-lin.top, kind="stable")
+    top_order = np.argsort(-top, kind="stable")
     if top_order.shape[0] <= n_servers:
         return top_order
     head = top_order[:n_servers]
     tail = top_order[n_servers:]
-    tail = tail[np.argsort(-lin.slope[tail], kind="stable")]
+    tail = tail[np.argsort(-slope[tail], kind="stable")]
     return np.concatenate([head, tail])
+
+
+def thread_order(lin: Linearization, n_servers: int) -> np.ndarray:
+    """:func:`two_key_order` of a linearization's ``top`` and ``slope``."""
+    return two_key_order(lin.top, lin.slope, n_servers)
+
+
+#: Threads per pass of :func:`max_residual_walk`'s inner loop.  The walk
+#: reads demands and writes results through Python lists, which cost tens of
+#: bytes per element; chunking keeps them small at n = 10^5 and beyond.
+_WALK_CHUNK = 4096
+
+
+def max_residual_walk(
+    order: np.ndarray,
+    demand: np.ndarray,
+    residuals: np.ndarray,
+    ctx: "SolveContext | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 2's greedy (lines 3-6): ``(servers, grants)`` per thread.
+
+    Visits the threads in ``order``; each goes to the server with the most
+    remaining resource, ties to the lowest server id, and is granted
+    ``min(demand[i], residual)``.  ``residuals`` holds each server's
+    starting resource.  The heap holds ``(-residual, server)``; the keys
+    are unique and only the peeked top is ever replaced, so its top is
+    exactly "max residual, then lowest id".  Negation is exact, so grants
+    and residuals are the values a max-heap over residuals would produce.
+
+    With ``ctx``, every step counts one peek and one replace under
+    ``ALG2_HEAP_OPS`` and polls the deadline.
+    """
+    n = demand.shape[0]
+    servers = np.full(n, -1, dtype=np.int64)
+    grants = np.zeros(n, dtype=float)
+    heap = [(-r, j) for j, r in enumerate(residuals.tolist())]
+    heapq.heapify(heap)
+    replace = heapq.heapreplace
+    for start in range(0, order.shape[0], _WALK_CHUNK):
+        chunk = order[start : start + _WALK_CHUNK]
+        picked: list[int] = []
+        granted: list[float] = []
+        for d in demand[chunk].tolist():
+            if ctx is not None:
+                ctx.count(ALG2_HEAP_OPS, 2)  # one peek + one replace
+                ctx.check_deadline()
+            neg, j = heap[0]
+            r = -neg
+            c = r if r < d else d  # min(d, r), keeping d on ties as min() does
+            picked.append(j)
+            granted.append(c)
+            replace(heap, (-(r - c), j))
+        servers[chunk] = picked
+        grants[chunk] = granted
+    return servers, grants
 
 
 def algorithm2(
@@ -65,22 +124,12 @@ def algorithm2(
 def _algorithm2(
     problem: AAProblem, lin: Linearization, ctx: "SolveContext | None"
 ) -> Assignment:
-    n, m = problem.n_threads, problem.n_servers
-    order = thread_order(lin, m)
-    servers = np.full(n, -1, dtype=np.int64)
-    alloc = np.zeros(n, dtype=float)
-    heap = IndexedMaxHeap(np.full(m, problem.capacity))
-
-    for i in order:
-        if ctx is not None:
-            ctx.count(ALG2_HEAP_OPS, 2)  # one peek + one decrease-key
-            ctx.check_deadline()
-        j, res = heap.peek()
-        c = min(float(lin.c_hat[i]), res)
-        servers[i] = j
-        alloc[i] = c
-        heap.update(j, res - c)
-
+    servers, alloc = max_residual_walk(
+        thread_order(lin, problem.n_servers),
+        lin.c_hat,
+        np.full(problem.n_servers, problem.capacity),
+        ctx,
+    )
     return Assignment(servers=servers, allocations=alloc)
 
 

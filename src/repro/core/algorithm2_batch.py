@@ -6,8 +6,8 @@ processing order becomes a pair of stable ``axis=1`` argsorts (equal to
 row-wise 1-D sorts); the greedy walk becomes ``n`` vectorized steps, each
 assigning one thread *per trial* to that trial's max-residual server via
 a first-occurrence ``np.argmax`` — which breaks residual ties toward the
-smallest server index, exactly like the scalar heap's
-``(priority, -index)`` ordering.  The walk is therefore bit-identical to
+smallest server index, exactly like the scalar walk's ``heapq`` keys
+``(-residual, server)``.  The walk is therefore bit-identical to
 the scalar :func:`~repro.core.algorithm2.algorithm2` per trial, with no
 per-trial fallback needed; only heterogeneous server counts across trials
 (never produced by the harness, whose sweep points fix ``m``) drop to a

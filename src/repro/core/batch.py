@@ -26,7 +26,7 @@ invariants that hold for C-contiguous trial-major layouts:
   trajectories coincide;
 * ``np.argsort(..., axis=1, kind="stable")`` equals row-wise 1-D stable
   argsorts, and first-occurrence ``np.argmax`` over residuals matches the
-  scalar heap's smallest-index tie-break.
+  scalar walk's smallest-index tie-break.
 
 ``tests/core/test_batch_equivalence.py`` property-tests this contract
 across all four workload generators.  Counters and spans recorded through

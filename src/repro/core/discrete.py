@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.allocation.fox import fox_greedy
 from repro.allocation.galil import galil_discrete
+from repro.core.algorithm2 import max_residual_walk, two_key_order
 from repro.core.problem import AAProblem, Assignment
-from repro.utils.heaps import IndexedMaxHeap
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,12 @@ def algorithm2_discrete(
     """Algorithm 2 on the unit grid: grants are integer multiples of ``unit``."""
     if dlin is None:
         dlin = linearize_discrete(problem, unit)
-    n, m = problem.n_threads, problem.n_servers
-    order = np.argsort(-dlin.top, kind="stable")
-    if n > m:
-        head, tail = order[:m], order[m:]
-        tail = tail[np.argsort(-dlin.slope[tail], kind="stable")]
-        order = np.concatenate([head, tail])
-    servers = np.full(n, -1, dtype=np.int64)
-    units = np.zeros(n, dtype=np.int64)
-    heap = IndexedMaxHeap(np.full(m, float(dlin.capacity_units)))
-    for i in order:
-        j, residual = heap.peek()
-        grant = int(min(int(dlin.units_hat[i]), int(residual)))
-        servers[i] = j
-        units[i] = grant
-        heap.update(j, residual - grant)
+    m = problem.n_servers
+    servers, units = max_residual_walk(
+        two_key_order(dlin.top, dlin.slope, m),
+        dlin.units_hat,
+        np.full(m, dlin.capacity_units, dtype=np.int64),
+    )
     alloc = np.minimum(units * dlin.unit, problem.utilities.caps)
     return Assignment(servers=servers, allocations=alloc)
 

@@ -4,8 +4,9 @@ The paper proves its guarantee for homogeneous servers only.  This module
 extends Algorithm 2's mechanics to servers with differing capacities
 ``C_1..C_m``: the super-optimal pool becomes ``sum C_j``, the per-thread
 cap in the pool relaxation is the *largest* server (a thread cannot use
-more than one server), and assignment walks the same two-key order over a
-max-heap of heterogeneous residuals.  No approximation factor is claimed
+more than one server), and assignment is the same two-key order and
+:func:`~repro.core.algorithm2.max_residual_walk`, started from the
+heterogeneous capacities.  No approximation factor is claimed
 — the instance below `algorithm2_hetero`'s docstring shows the homogeneous
 analysis does not transfer — but the solver still reports the certified
 ``F / F̂`` ratio per instance, and reclamation applies unchanged.
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.allocation.grouped import water_fill_grouped
 from repro.allocation.waterfill import water_fill
+from repro.core.algorithm2 import max_residual_walk, two_key_order
 from repro.utility.batch import UtilityBatch, as_batch
-from repro.utils.heaps import IndexedMaxHeap
 
 
 class HeterogeneousProblem:
@@ -92,36 +94,12 @@ def algorithm2_hetero(
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(c_hat > 0, top / np.where(c_hat > 0, c_hat, 1.0), 0.0)
 
-    n, m = problem.n_threads, problem.n_servers
-    order = np.argsort(-top, kind="stable")
-    if n > m:
-        head, tail = order[:m], order[m:]
-        tail = tail[np.argsort(-slope[tail], kind="stable")]
-        order = np.concatenate([head, tail])
-
-    servers = np.full(n, -1, dtype=np.int64)
-    alloc = np.zeros(n)
-    heap = IndexedMaxHeap(problem.capacities)
-    for i in order:
-        if ctx is not None:
-            ctx.check_deadline()
-        j, res = heap.peek()
-        c = min(float(c_hat[i]), res)
-        servers[i] = j
-        alloc[i] = c
-        heap.update(j, res - c)
-
+    order = two_key_order(top, slope, problem.n_servers)
+    servers, alloc = max_residual_walk(order, c_hat, problem.capacities, ctx)
     if reclaim:
-        for j in range(m):
-            if ctx is not None:
-                ctx.check_deadline()
-            members = np.nonzero(servers == j)[0]
-            if members.size == 0:
-                continue
-            res = water_fill(
-                problem.utilities.subset(members), float(problem.capacities[j]), ctx=ctx
-            )
-            alloc[members] = res.allocations
+        alloc = water_fill_grouped(
+            problem.utilities, servers, problem.capacities, ctx=ctx
+        ).allocations
 
     total = problem.utilities.total(alloc)
     return HeteroSolution(

@@ -1,6 +1,5 @@
-"""Shared low-level utilities: seeded RNG, indexed heaps, validation, timing."""
+"""Shared low-level utilities: seeded RNG, validation, timing."""
 
-from repro.utils.heaps import IndexedMaxHeap
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timing import Timer
 from repro.utils.validation import (
@@ -11,7 +10,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "IndexedMaxHeap",
     "Timer",
     "as_generator",
     "check_capacity",

@@ -10,6 +10,7 @@ from repro.extensions.heterogeneous import (
     algorithm2_hetero,
     super_optimal_hetero,
 )
+from repro.allocation.waterfill import water_fill
 from repro.utility.functions import LogUtility
 
 from tests.conftest import utility_lists
@@ -95,3 +96,29 @@ def test_random_instances_feasible_and_bounded(fns, caps):
     loads = np.bincount(sol.servers, weights=sol.allocations, minlength=p.n_servers)
     assert np.all(loads <= p.capacities + 1e-6)
     assert sol.total_utility <= sol.upper_bound + 1e-6 * (1 + sol.upper_bound)
+
+
+def _per_server_water_fill(problem, servers):
+    """Reference reclaim: one scalar water-fill per nonempty server."""
+    alloc = np.zeros(problem.n_threads)
+    for j in range(problem.n_servers):
+        members = np.nonzero(servers == j)[0]
+        if members.size:
+            res = water_fill(problem.utilities.subset(members), float(problem.capacities[j]))
+            alloc[members] = res.allocations
+    return alloc
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    utility_lists(1, 8, cap=5.0),
+    st.lists(st.floats(min_value=5.0, max_value=20.0), min_size=1, max_size=4),
+)
+def test_reclaim_matches_per_server_water_fill(fns, caps):
+    p = HeterogeneousProblem(fns, capacities=caps)
+    sol = algorithm2_hetero(p)
+    assert np.array_equal(sol.servers, algorithm2_hetero(p, reclaim=False).servers)
+    ref = _per_server_water_fill(p, sol.servers)
+    assert sol.total_utility == pytest.approx(p.utilities.total(ref), rel=1e-6, abs=1e-6)
+    loads = np.bincount(sol.servers, weights=sol.allocations, minlength=p.n_servers)
+    assert np.all(loads <= p.capacities + 1e-6 * np.maximum(p.capacities, 1.0))
