@@ -2,13 +2,14 @@
 
 The reclamation pass, every two-step baseline and the online scheduler all
 need "optimally split each server's capacity among its own threads".
-Solving the servers one by one costs a Python-level bisection per server;
-this module runs *all* servers' bisections in lock-step instead — each
-step evaluates the batch's ``inverse_derivative_each`` once for the whole
-thread population with a per-thread price ``lam[group[i]]``, and group
-demands reduce via ``np.bincount``.  Semantically identical to calling
-:func:`repro.allocation.waterfill.water_fill` per group (the test suite
-asserts exact agreement); ~m× fewer Python iterations.
+This module runs *all* servers' bisections in lock-step as the group
+layout of the water-fill kernel in :mod:`repro.allocation.waterfill`,
+pricing thread ``i`` at ``lam[group[i]]`` and summing demand per group
+with ``np.bincount``.  Per group this agrees with ``water_fill`` only to
+rounding (``bincount`` sums in thread order, ``water_fill`` pairwise; the
+tests compare at ``rel=1e-6``).  The exact contracts are per layout: rows
+(``water_fill_batch``) are bit-identical to scalar ``water_fill``, and
+groups (:func:`repro.core.batch.reclaim_batch`) to this function per trial.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.allocation.waterfill import _fill
 from repro.observability import BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS
 from repro.utility.batch import as_batch
 
@@ -69,69 +71,17 @@ def water_fill_grouped(
     if n == 0:
         return GroupedAllocationResult(np.zeros(0), 0.0, np.zeros(k), 0)
 
-    caps = batch.caps
-    cap_sums = np.bincount(groups, weights=caps, minlength=k)
-    # Groups whose budget covers every member's cap are trivially saturated;
-    # zero-budget groups allocate nothing (their demand may never reach 0
-    # for power-law-style utilities, so they must not enter the bisection).
-    slack = budgets >= cap_sums
-    zero = budgets <= 0.0
-    active = ~slack & ~zero
-
-    def group_demand(lam_groups: np.ndarray) -> np.ndarray:
-        if ctx is not None:
-            ctx.count(BATCH_EVALUATIONS)
-        demand = np.minimum(batch.inverse_derivative_each(lam_groups[groups]), caps)
-        return np.bincount(groups, weights=demand, minlength=k)
-
-    lam_lo = np.zeros(k)
-    lam_hi = np.ones(k)
-    iterations = 0
-    # Exponential search per group, vectorized: double lam_hi wherever the
-    # group still demands more than its budget.
-    for _ in range(1100):
-        over = active & (group_demand(lam_hi) > budgets)
-        if not np.any(over):
-            break
-        lam_lo = np.where(over, lam_hi, lam_lo)
-        lam_hi = np.where(over, lam_hi * 2.0, lam_hi)
-        iterations += 1
-        if float(np.max(lam_hi)) > 1e300:
-            raise RuntimeError("water_fill_grouped could not bracket a price")
-
-    for _ in range(max_iter):
-        if ctx is not None:
-            ctx.check_deadline()
-        width = lam_hi - lam_lo
-        todo = active & (width > rel_tol * np.maximum(lam_hi, 1.0))
-        if not np.any(todo):
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        over = group_demand(mid) > budgets
-        lam_lo = np.where(todo & over, mid, lam_lo)
-        lam_hi = np.where(todo & ~over, mid, lam_hi)
-        iterations += 1
-
-    # Resolve each group by interpolating between its bracketing demands,
-    # exactly like the scalar water_fill.
-    c_hi = np.minimum(batch.inverse_derivative_each(lam_lo[groups]), caps)
-    c_lo = np.minimum(batch.inverse_derivative_each(lam_hi[groups]), caps)
-    s_hi = np.bincount(groups, weights=c_hi, minlength=k)
-    s_lo = np.bincount(groups, weights=c_lo, minlength=k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(s_hi > s_lo, (budgets - s_lo) / np.where(s_hi > s_lo, s_hi - s_lo, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    alloc = c_lo + t[groups] * (c_hi - c_lo)
-    alloc = np.where(slack[groups], caps, alloc)
-    alloc = np.where(zero[groups], 0.0, alloc)
-
+    alloc, _, _, d, b = _fill(batch, budgets, groups, rel_tol, max_iter, ctx)
+    # Every bracket pass (the last finds no pool over) and bisection pass.
+    doublings, steps = int(d.max()), int(b.max())
     if ctx is not None:
-        ctx.count(GROUPED_BISECTION_ITERATIONS, iterations)
+        ctx.count(BATCH_EVALUATIONS, doublings + 1 + steps)
+        ctx.count(GROUPED_BISECTION_ITERATIONS, doublings + steps)
     values = np.asarray(batch.value(alloc), dtype=float)
     group_utilities = np.bincount(groups, weights=values, minlength=k)
     return GroupedAllocationResult(
         allocations=alloc,
         total_utility=float(values.sum()),
         group_utilities=group_utilities,
-        iterations=iterations,
+        iterations=doublings + steps,
     )

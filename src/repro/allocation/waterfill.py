@@ -31,7 +31,7 @@ from repro.observability import (
     BISECTION_ITERATIONS,
     WATERFILL_CALLS,
 )
-from repro.utility.batch import as_batch
+from repro.utility.batch import UtilityBatch, as_batch
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,90 @@ def water_fill(
     return AllocationResult(c, batch.total(c), lam_star, iterations)
 
 
+def _fill(
+    batch: UtilityBatch, budgets: np.ndarray, groups: np.ndarray | None,
+    rel_tol: float, max_iter: int, ctx,
+) -> tuple[np.ndarray, ...]:
+    """Water-fill ``k = len(budgets)`` pools in lock-step: the one bracket,
+    bisection and interpolation behind every multi-pool entry point.
+
+    ``groups=None`` lays the pools out as ``k`` equal contiguous rows
+    (pairwise row sums, so each row is bit-identical to :func:`water_fill`);
+    otherwise thread ``i`` is in pool ``groups[i]`` (``np.bincount`` sums).
+    Each pool's bracket moves only on the passes its own loop would take.
+    Slack pools saturate, empty budgets get nothing; neither is bisected.
+
+    Returns ``(alloc, lam, slack, d, b)``: grants, prices (0 unless
+    bisected), the slack mask, and per-pool doubling and bisection counts;
+    a bisected pool costs ``d + b + 3`` demand evaluations.
+    """
+    k = budgets.shape[0]
+    caps = batch.caps
+    if groups is None:
+        n = len(batch) // k
+        def spread(x: np.ndarray) -> np.ndarray:
+            return np.repeat(x, n)
+        def pool_sum(x: np.ndarray) -> np.ndarray:
+            return np.sum(x.reshape(k, n), axis=1)
+    else:
+        pool_of = groups
+        def spread(x: np.ndarray) -> np.ndarray:
+            return x[pool_of]
+        def pool_sum(x: np.ndarray) -> np.ndarray:
+            return np.bincount(pool_of, weights=x, minlength=k)
+
+    def demand(lam: np.ndarray) -> np.ndarray:
+        x = batch.inverse_derivative_each(spread(lam))
+        return np.minimum(x, caps, out=x)  # x is a fresh temporary
+
+    slack = budgets >= pool_sum(caps)
+    active = ~slack & (budgets > 0.0)
+    d, b = np.zeros((2, k), dtype=np.int64)
+    if not np.any(active):
+        return np.where(spread(slack), caps, 0.0), np.zeros(k), slack, d, b
+
+    # Double each pool's upper price while its demand there exceeds its
+    # budget; this can take hundreds of passes, so it polls the deadline.
+    lam_lo, lam_hi = np.zeros(k), np.ones(k)  # demand(0) is the cap total
+    over = active & (pool_sum(demand(lam_hi)) > budgets)
+    while np.any(over):
+        if ctx is not None:
+            ctx.check_deadline()
+        lam_lo = np.where(over, lam_hi, lam_lo)
+        lam_hi = np.where(over, lam_hi * 2.0, lam_hi)
+        d += over
+        if float(np.max(lam_hi)) > 1e300:
+            raise RuntimeError("water-fill could not bracket a marginal price")
+        over &= pool_sum(demand(lam_hi)) > budgets
+
+    for _ in range(max_iter):
+        if ctx is not None:
+            ctx.check_deadline()
+        todo = active & (lam_hi - lam_lo > rel_tol * np.maximum(lam_hi, 1.0))
+        if not np.any(todo):
+            break
+        mid = 0.5 * (lam_lo + lam_hi)
+        b += todo
+        over = pool_sum(demand(mid)) > budgets
+        lam_lo = np.where(todo & over, mid, lam_lo)
+        lam_hi = np.where(todo & ~over, mid, lam_hi)
+
+    # Interpolate between the bracketing allocations, as water_fill does.
+    c_hi = demand(lam_lo)  # pool total > budget
+    c_lo = demand(lam_hi)  # pool total <= budget
+    s_hi, s_lo = pool_sum(c_hi), pool_sum(c_lo)
+    moves = s_hi > s_lo
+    t = np.where(moves, (budgets - s_lo) / np.where(moves, s_hi - s_lo, 1.0), 0.0)
+    # c_lo + t * (c_hi - c_lo) in place, bit for bit; extra thread-sized
+    # arrays (temporaries here, or inactive pools' grants held through the
+    # loops) measurably slowed the sweep's fills.
+    c_hi -= c_lo
+    c_hi *= spread(t)
+    c_hi += c_lo
+    alloc = np.where(spread(active), c_hi, np.where(spread(slack), caps, 0.0))
+    return alloc, np.where(active, 0.5 * (lam_lo + lam_hi), 0.0), slack, d, b
+
+
 @dataclass(frozen=True)
 class BatchAllocationResult:
     """Outcome of :func:`water_fill_batch` — one pool allocation per trial.
@@ -192,17 +276,11 @@ def water_fill_batch(
 
     ``utilities`` is one flat trial-major batch of ``n_trials * n`` threads
     (trial ``t`` owns threads ``t*n … (t+1)*n - 1``); ``budgets`` gives each
-    trial's pool.  Semantically this *is* :func:`water_fill` called per
-    trial — bit-identically so, which the equivalence suite asserts: each
-    trial's bracket/bisection trajectory is advanced only on the passes the
-    scalar loop would have taken (masked updates), row sums use the same
-    pairwise ``np.sum`` reduction over a contiguous row, and the final
-    bracket interpolation is the same elementwise arithmetic.  Counters on
-    ``ctx`` are recorded at per-trial-equivalent totals (one
-    ``WATERFILL_CALLS`` per trial, demand evaluations and iterations summed
-    over the passes each trial actually participated in), so sweeps report
-    identical counts whether points run batched or scalar, in one process
-    or many.
+    trial's pool.  The trials are the row layout of the lock-step kernel, so
+    this *is* :func:`water_fill` called per trial, bit for bit, which the
+    equivalence suite asserts.  Counters on ``ctx`` are per-trial-equivalent
+    totals, so sweeps report identical counts whether points run batched or
+    scalar, in one process or many.
     """
     batch = as_batch(utilities)
     n_trials = int(n_trials)
@@ -221,86 +299,21 @@ def water_fill_batch(
         raise ValueError("budgets must be finite and nonnegative")
     if ctx is not None:
         ctx.count(WATERFILL_CALLS, n_trials)
-    if n == 0:
-        zeros = np.zeros(n_trials)
-        return BatchAllocationResult(
-            np.zeros((n_trials, 0)), zeros, zeros.copy(), np.zeros(n_trials, dtype=int)
-        )
-
-    caps = batch.caps
-    caps2 = caps.reshape(n_trials, n)
-    cap_totals = np.sum(caps2, axis=1)
-    slack = budgets >= cap_totals
+    alloc, lam, slack, d, b = _fill(batch, budgets, None, rel_tol, max_iter, ctx)
     zero = (budgets == 0.0) & ~slack
-    active = ~slack & ~zero
-    evals = np.zeros(n_trials, dtype=np.int64)
-    iterations = np.zeros(n_trials, dtype=np.int64)
-
-    def demand_rows(lam_rows: np.ndarray) -> np.ndarray:
-        lam_threads = np.repeat(lam_rows, n)
-        d = batch.inverse_derivative_each(lam_threads)
-        np.minimum(d, caps, out=d)  # d is a fresh temporary; cap in place
-        return d.reshape(n_trials, n)
-
-    lam_lo = np.zeros(n_trials)
-    lam_hi = np.ones(n_trials)
-    if np.any(active):
-        # Exponential bracket, masked: a trial doubles (and re-evaluates)
-        # only while its own demand at lam_hi exceeds its budget.
-        over = active & (np.sum(demand_rows(lam_hi), axis=1) > budgets)
-        evals[active] += 1
-        while np.any(over):
-            if ctx is not None:
-                ctx.check_deadline()
-            lam_lo = np.where(over, lam_hi, lam_lo)
-            lam_hi = np.where(over, lam_hi * 2.0, lam_hi)
-            iterations[over] += 1
-            evals[over] += 1  # every doubled trial re-checks its budget
-            if float(np.max(lam_hi[over])) > 1e300:
-                raise RuntimeError("water_fill_batch could not bracket a price")
-            over = over & (np.sum(demand_rows(lam_hi), axis=1) > budgets)
-        for _ in range(max_iter):
-            if ctx is not None:
-                ctx.check_deadline()
-            todo = active & (lam_hi - lam_lo > rel_tol * np.maximum(lam_hi, 1.0))
-            if not np.any(todo):
-                break
-            mid = 0.5 * (lam_lo + lam_hi)
-            iterations[todo] += 1
-            evals[todo] += 1
-            over_mid = np.sum(demand_rows(np.where(todo, mid, lam_hi)), axis=1) > budgets
-            lam_lo = np.where(todo & over_mid, mid, lam_lo)
-            lam_hi = np.where(todo & ~over_mid, mid, lam_hi)
-
-    # Final bracket resolution, identical to the scalar epilogue.
-    c_hi = demand_rows(lam_lo)
-    c_lo = demand_rows(lam_hi)
-    evals[active] += 2
-    s_hi = np.sum(c_hi, axis=1)
-    s_lo = np.sum(c_lo, axis=1)
-    moves = s_hi > s_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(moves, (budgets - s_lo) / np.where(moves, s_hi - s_lo, 1.0), 0.0)
-    c = np.where(moves[:, None], c_lo + t[:, None] * (c_hi - c_lo), c_lo)
-    lam_star = np.where(active, 0.5 * (lam_lo + lam_hi), 0.0)
-
-    c = np.where(slack[:, None], caps2, c)
-    c = np.where(zero[:, None], 0.0, c)
     if np.any(zero):
         # Scalar convention for empty budgets: price = max derivative at 0.
         deriv0 = batch.derivative(np.zeros(n_total)).reshape(n_trials, n)
-        zero_price = np.max(deriv0, axis=1, initial=0.0)
-        lam_star = np.where(zero, zero_price, lam_star)
+        lam = np.where(zero, np.max(deriv0, axis=1, initial=0.0), lam)
+    iterations = d + b
     if ctx is not None:
-        ctx.count(BATCH_EVALUATIONS, int(np.sum(evals)))
+        ctx.count(BATCH_EVALUATIONS, int(np.sum(iterations[~slack & ~zero] + 3)))
         ctx.count(BISECTION_ITERATIONS, int(np.sum(iterations)))
-    totals = np.sum(
-        batch.value(c.reshape(n_total)).reshape(n_trials, n), axis=1
-    )
+    totals = np.sum(batch.value(alloc).reshape(n_trials, n), axis=1)
     return BatchAllocationResult(
-        allocations=c,
+        allocations=alloc.reshape(n_trials, n),
         total_utility=totals,
-        marginal_price=lam_star,
+        marginal_price=lam,
         iterations=iterations,
     )
 

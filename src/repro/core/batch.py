@@ -20,10 +20,12 @@ floats, same assignments, same tie-breaks.  The contract rests on a few
 invariants that hold for C-contiguous trial-major layouts:
 
 * ``np.sum(A, axis=1)`` equals per-row ``np.sum(A[t])`` exactly (both use
-  the same pairwise reduction over a contiguous row);
-* masked lock-step bisection advances each trial's bracket only on the
-  passes its scalar loop would have taken, so per-trial price
-  trajectories coincide;
+  the same pairwise reduction over a contiguous row), and a group's
+  ``np.bincount`` sum does not depend on the other groups;
+* the one masked lock-step water-fill kernel advances each pool's
+  bracket only on the passes its own loop would have taken, with trial
+  rows as pools for ``linearize_batch`` and server groups for
+  ``reclaim_batch``;
 * ``np.argsort(..., axis=1, kind="stable")`` equals row-wise 1-D stable
   argsorts, and first-occurrence ``np.argmax`` over residuals matches the
   scalar walk's smallest-index tie-break.
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.allocation.waterfill import water_fill_batch
+from repro.allocation.waterfill import _fill, water_fill_batch
 from repro.core.linearize import Linearization
 from repro.core.problem import FEASIBILITY_RTOL, AAProblem, Assignment
 from repro.observability import (
@@ -246,12 +248,9 @@ def reclaim_batch(
     """Per-server water-fill reclamation for every trial in lock-step.
 
     Mirrors :func:`repro.core.postprocess.reclaim` per trial: each trial's
-    server pools are independent groups of one global grouped bisection.
-    Per-bin ``np.bincount`` accumulation is sequential in thread order, so
-    global group sums equal the per-trial grouped sums bit-for-bit, and
-    masked bracket/bisection updates keep each trial on exactly the
-    trajectory its scalar ``water_fill_grouped`` call would take.  Counter
-    totals (``RECLAIM_CALLS``, ``BATCH_EVALUATIONS``,
+    server pools are groups of one lock-step water-fill, bit-identical to
+    one ``water_fill_grouped`` call per trial (see the module docstring).
+    Counter totals (``RECLAIM_CALLS``, ``BATCH_EVALUATIONS``,
     ``GROUPED_BISECTION_ITERATIONS``) are summed per-trial equivalents.
 
     ``rel_tol`` is the per-group bisection tolerance (the default matches
@@ -261,81 +260,19 @@ def reclaim_batch(
     T, n = bp.n_trials, bp.n_threads
     if ctx is not None:
         ctx.count(RECLAIM_CALLS, T)
-    batch = bp.utilities
-    caps = batch.caps
+    if n == 0:  # as water_fill_grouped: no threads, no fill, no evaluations
+        return BatchAssignment(servers=assignment.servers, allocations=np.zeros((T, 0)))
     # Global group ids: trial t's server j becomes group offsets[t] + j.
     m = bp.n_servers
     offsets = np.concatenate(([0], np.cumsum(m)))[:-1]
-    k_total = int(np.sum(m))
     groups = (offsets[:, None] + assignment.servers).reshape(-1)
-    budgets = np.repeat(bp.capacity, m)
-    trial_of_group = np.repeat(np.arange(T), m)
-
-    cap_sums = np.bincount(groups, weights=caps, minlength=k_total)
-    slack = budgets >= cap_sums
-    zero = budgets <= 0.0
-    active = ~slack & ~zero
-
-    evals = np.zeros(T, dtype=np.int64)
-    iterations = np.zeros(T, dtype=np.int64)
-
-    def group_demand(lam_groups: np.ndarray) -> np.ndarray:
-        demand = batch.inverse_derivative_each(lam_groups[groups])
-        np.minimum(demand, caps, out=demand)  # fresh temporary; cap in place
-        return np.bincount(groups, weights=demand, minlength=k_total)
-
-    def trial_any(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(trial_of_group, weights=mask, minlength=T) > 0
-
-    lam_lo = np.zeros(k_total)
-    lam_hi = np.ones(k_total)
-    # Per-trial "still bracketing" mask: a trial's scalar loop evaluates once
-    # per pass it is still in (its last pass finds no over-budget group).
-    in_loop = np.ones(T, dtype=bool)
-    for _ in range(1100):
-        over = active & (group_demand(lam_hi) > budgets)
-        evals[in_loop] += 1
-        if not np.any(over):
-            break
-        t_over = trial_any(over)
-        lam_lo = np.where(over, lam_hi, lam_lo)
-        lam_hi = np.where(over, lam_hi * 2.0, lam_hi)
-        iterations[t_over] += 1
-        in_loop = t_over
-        if float(np.max(lam_hi)) > 1e300:
-            raise RuntimeError("reclaim_batch could not bracket a price")
-
-    for _ in range(200):
-        if ctx is not None:
-            ctx.check_deadline()
-        width = lam_hi - lam_lo
-        todo = active & (width > rel_tol * np.maximum(lam_hi, 1.0))
-        if not np.any(todo):
-            break
-        t_todo = trial_any(todo)
-        mid = 0.5 * (lam_lo + lam_hi)
-        over = group_demand(mid) > budgets
-        lam_lo = np.where(todo & over, mid, lam_lo)
-        lam_hi = np.where(todo & ~over, mid, lam_hi)
-        evals[t_todo] += 1
-        iterations[t_todo] += 1
-
-    c_hi = np.minimum(batch.inverse_derivative_each(lam_lo[groups]), caps)
-    c_lo = np.minimum(batch.inverse_derivative_each(lam_hi[groups]), caps)
-    s_hi = np.bincount(groups, weights=c_hi, minlength=k_total)
-    s_lo = np.bincount(groups, weights=c_lo, minlength=k_total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_interp = np.where(
-            s_hi > s_lo, (budgets - s_lo) / np.where(s_hi > s_lo, s_hi - s_lo, 1.0), 0.0
-        )
-    t_interp = np.clip(t_interp, 0.0, 1.0)
-    alloc = c_lo + t_interp[groups] * (c_hi - c_lo)
-    alloc = np.where(slack[groups], caps, alloc)
-    alloc = np.where(zero[groups], 0.0, alloc)
-
+    alloc, _, _, d, b = _fill(bp.utilities, np.repeat(bp.capacity, m), groups, rel_tol, 200, ctx)
     if ctx is not None:
-        ctx.count(BATCH_EVALUATIONS, int(np.sum(evals)))
-        ctx.count(GROUPED_BISECTION_ITERATIONS, int(np.sum(iterations)))
+        # Each trial counts as its own grouped call over its m_t pools.
+        doublings = np.maximum.reduceat(d, offsets)
+        steps = np.maximum.reduceat(b, offsets)
+        ctx.count(BATCH_EVALUATIONS, int(np.sum(doublings + 1 + steps)))
+        ctx.count(GROUPED_BISECTION_ITERATIONS, int(np.sum(doublings + steps)))
     return BatchAssignment(
         servers=assignment.servers, allocations=alloc.reshape(T, n)
     )

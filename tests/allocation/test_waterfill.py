@@ -1,12 +1,17 @@
 """Water-filling: KKT optimality, budget handling, degenerate cases."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.waterfill import kkt_violation, water_fill
-from repro.utility.batch import GenericBatch, PowerBatch, QuadSplineBatch
+import repro
+from repro.allocation.grouped import water_fill_grouped
+from repro.allocation.waterfill import kkt_violation, water_fill, water_fill_batch
+from repro.utility.batch import GenericBatch, PowerBatch, QuadSplineBatch, as_batch
 from repro.utility.functions import (
     CappedLinearUtility,
     LinearUtility,
@@ -186,3 +191,53 @@ def test_bracket_loop_honors_deadline():
     # Without the bracket-loop check, ~100 demand evaluations would have
     # run before the bisection loop's own deadline check fired.
     assert ctx.counters[BATCH_EVALUATIONS] <= 2
+
+
+@pytest.mark.parametrize("entry", ["water_fill_grouped", "water_fill_batch", "reclaim_batch"])
+def test_lock_step_bracket_loop_honors_deadline(entry, monkeypatch):
+    """The batched entries share one lock-step kernel whose bracket loop
+    polls the deadline too.  The batch entries record ``BATCH_EVALUATIONS``
+    only after the loops, so a spy on the demand oracle counts instead."""
+    from repro.core.batch import BatchAssignment, BatchProblem, reclaim_batch
+    from repro.engine import SolveContext, SolveTimeout
+
+    batch = as_batch([LogUtility(1e30, 1.0, CAP), LogUtility(1e30, 1.0, CAP)])
+    oracle = batch.inverse_derivative_each
+    evaluations = []
+
+    def spy(lam):
+        evaluations.append(lam)
+        return oracle(lam)
+
+    monkeypatch.setattr(batch, "inverse_derivative_each", spy)
+    ctx = SolveContext(budget_s=1e-9)
+    with pytest.raises(SolveTimeout):
+        if entry == "water_fill_grouped":
+            water_fill_grouped(batch, [0, 0], [5.0], ctx=ctx)
+        elif entry == "water_fill_batch":
+            water_fill_batch(batch, 1, [5.0], ctx=ctx)
+        else:  # both threads on one server of capacity CAP < 2 * CAP
+            servers = np.zeros((1, 2), dtype=np.int64)
+            reclaim_batch(
+                BatchProblem(batch, 1, 1, CAP),
+                BatchAssignment(servers, np.zeros((1, 2))),
+                ctx=ctx,
+            )
+    assert len(evaluations) <= 2
+
+
+def test_price_doubling_bracket_lives_only_in_waterfill():
+    """One water-fill loop: the continuous price-doubling bracket appears
+    only in ``allocation/waterfill.py``, once for scalar ``water_fill`` and
+    once for the lock-step kernel behind every batched entry.  The discrete
+    allocator ``allocation/galil.py`` is the one exception."""
+    root = Path(repro.__file__).parent
+    doubling = re.compile(r"\b\w*hi\s*\*=?\s*2\.0")
+    found = {
+        path.relative_to(root).as_posix(): len(doubling.findall(path.read_text()))
+        for path in sorted(root.rglob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {
+        "allocation/galil.py": 1,
+        "allocation/waterfill.py": 2,
+    }

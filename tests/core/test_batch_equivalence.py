@@ -9,7 +9,7 @@ contract at both levels:
 * kernel level — :func:`linearize_batch`, :func:`algorithm2_batch_kernel`,
   :func:`reclaim_batch` and :func:`water_fill_batch` against per-trial
   scalar runs, across all four Section VII workload generators
-  (hypothesis-driven);
+  (hypothesis-driven), with counter parity for the two water-fill entries;
 * harness level — ``backend="batch"`` vs ``backend="scalar"`` utility
   matrices, counters and the α-certificate, serial and pooled.
 """
@@ -22,12 +22,19 @@ from hypothesis import strategies as st
 from repro.allocation.waterfill import water_fill, water_fill_batch
 from repro.core.algorithm2 import algorithm2
 from repro.core.algorithm2_batch import algorithm2_batch_kernel, thread_order_batch
-from repro.core.batch import BatchProblem, linearize_batch, reclaim_batch
+from repro.core.batch import BatchAssignment, BatchProblem, linearize_batch, reclaim_batch
 from repro.core.linearize import linearize
 from repro.core.postprocess import reclaim
 from repro.core.problem import ALPHA
 from repro.engine import LinearizationCache, SolveContext, get_solver
 from repro.experiments.harness import run_point_arrays
+from repro.observability import (
+    BATCH_EVALUATIONS,
+    BISECTION_ITERATIONS,
+    GROUPED_BISECTION_ITERATIONS,
+    RECLAIM_CALLS,
+    WATERFILL_CALLS,
+)
 from repro.utility.batch import GenericBatch, QuadSplineBatch, concat_batches
 from repro.workloads.generators import make_distribution, make_problem
 
@@ -82,18 +89,24 @@ def test_linearize_batch_bit_identical(params):
         assert float(blin.super_optimal_utility[t]) == lin.super_optimal_utility
 
 
+def _assert_reclaim_counters_match(ctx_batch, ctx_scalar):
+    for name in (RECLAIM_CALLS, BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS):
+        assert ctx_batch.counters[name] == ctx_scalar.counters[name], name
+
+
 @settings(max_examples=20, deadline=None)
 @given(instance_params)
 def test_algorithm2_and_reclaim_batch_bit_identical(params):
     problems, bp = _build_batch(*params)
     blin = linearize_batch(bp)
     raw = algorithm2_batch_kernel(bp, blin)
-    reclaimed = reclaim_batch(bp, raw)
+    ctx_batch, ctx_scalar = SolveContext(), SolveContext()
+    reclaimed = reclaim_batch(bp, raw, ctx=ctx_batch)
     for t, problem in enumerate(problems):
         scalar_raw = algorithm2(problem)
         assert np.array_equal(raw.servers[t], scalar_raw.servers)
         assert np.array_equal(raw.allocations[t], scalar_raw.allocations)
-        scalar_rec = reclaim(problem, scalar_raw)
+        scalar_rec = reclaim(problem, scalar_raw, ctx=ctx_scalar)
         assert np.array_equal(reclaimed.allocations[t], scalar_rec.allocations)
         # The paper's guarantee survives the batch path: the certificate
         # holds trial by trial against the batched F̂.
@@ -101,19 +114,56 @@ def test_algorithm2_and_reclaim_batch_bit_identical(params):
             np.sum(problem.utilities.value(reclaimed.allocations[t]))
         )
         assert total >= ALPHA * float(blin.super_optimal_utility[t]) - 1e-9
+    _assert_reclaim_counters_match(ctx_batch, ctx_scalar)
+
+
+def test_reclaim_batch_counters_match_scalar_without_threads():
+    """Zero threads: no fill runs, so no demand evaluations are counted."""
+    empty = QuadSplineBatch(np.zeros(0), np.zeros(0), np.zeros(0))
+    bp = BatchProblem(empty, n_trials=3, n_servers=2, capacity=10.0)
+    raw = BatchAssignment(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0)))
+    ctx_batch, ctx_scalar = SolveContext(), SolveContext()
+    reclaimed = reclaim_batch(bp, raw, ctx=ctx_batch)
+    for t in range(bp.n_trials):
+        scalar_rec = reclaim(bp.problem(t), raw.assignment(t), ctx=ctx_scalar)
+        assert np.array_equal(reclaimed.allocations[t], scalar_rec.allocations)
+    _assert_reclaim_counters_match(ctx_batch, ctx_scalar)
+    assert ctx_batch.counters[BATCH_EVALUATIONS] == 0
+
+
+#: Per-trial budget kinds: the trial's ``m * C`` pool, an empty budget, an
+#: interior fraction of the cap total, exactly the cap total, or more.
+budget_kinds = st.lists(
+    st.sampled_from(("pool", "zero", "interior", "cap_total", "slack")),
+    min_size=5, max_size=5,
+)
 
 
 @settings(max_examples=20, deadline=None)
-@given(instance_params)
-def test_water_fill_batch_matches_scalar(params):
+@given(instance_params, budget_kinds, st.floats(min_value=0.01, max_value=0.99))
+def test_water_fill_batch_matches_scalar(params, kinds, fraction):
     problems, bp = _build_batch(*params)
-    result = water_fill_batch(bp.utilities, bp.n_trials, bp.pools)
+    cap_totals = [float(np.sum(p.utilities.caps)) for p in problems]
+    budgets = np.array([
+        {
+            "pool": float(bp.pools[t]),
+            "zero": 0.0,
+            "interior": fraction * cap_totals[t],
+            "cap_total": cap_totals[t],
+            "slack": (1.0 + fraction) * cap_totals[t],
+        }[kinds[t]]
+        for t in range(bp.n_trials)
+    ])
+    ctx_batch, ctx_scalar = SolveContext(), SolveContext()
+    result = water_fill_batch(bp.utilities, bp.n_trials, budgets, ctx=ctx_batch)
     for t, problem in enumerate(problems):
-        scalar = water_fill(problem.utilities, float(bp.pools[t]))
+        scalar = water_fill(problem.utilities, float(budgets[t]), ctx=ctx_scalar)
         assert np.array_equal(result.allocations[t], scalar.allocations)
         assert float(result.total_utility[t]) == scalar.total_utility
         assert float(result.marginal_price[t]) == scalar.marginal_price
         assert int(result.iterations[t]) == scalar.iterations
+    for name in (WATERFILL_CALLS, BATCH_EVALUATIONS, BISECTION_ITERATIONS):
+        assert ctx_batch.counters[name] == ctx_scalar.counters[name], name
 
 
 @settings(max_examples=20, deadline=None)
