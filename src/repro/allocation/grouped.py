@@ -1,8 +1,8 @@
-"""Grouped water-filling: many independent pools, one vectorized bisection.
+"""Grouped water-filling: many independent pools, one vectorized price search.
 
 The reclamation pass, every two-step baseline and the online scheduler all
 need "optimally split each server's capacity among its own threads".
-This module runs *all* servers' bisections in lock-step as the group
+This module runs *all* servers' price searches in lock-step as the group
 layout of the water-fill kernel in :mod:`repro.allocation.waterfill`,
 pricing thread ``i`` at ``lam[group[i]]`` and summing demand per group
 with ``np.bincount``.  Per group this agrees with ``water_fill`` only to
@@ -41,6 +41,7 @@ def water_fill_grouped(
     rel_tol: float = 1e-12,
     max_iter: int = 200,
     ctx=None,
+    start=None,
 ) -> GroupedAllocationResult:
     """Optimally divide ``budgets[g]`` among the threads with ``groups[i] == g``.
 
@@ -54,6 +55,13 @@ def water_fill_grouped(
     budgets:
         Per-group budgets, shape ``(k,)``.  Groups with no threads simply
         leave their budget unused.
+    start:
+        Optional per-group starting prices, shape ``(k,)``, for the price
+        search (default 1 for every group).  A start near a group's
+        clearing price saves passes, e.g. the group's last price before
+        one thread joined or left.  It only seeds the bracket, which is
+        verified by evaluation, so any start gives the same prices to
+        tolerance; entries that are not positive and finite fall back to 1.
     """
     batch = as_batch(utilities)
     n = len(batch)
@@ -68,11 +76,15 @@ def water_fill_grouped(
         raise ValueError("group indices out of range")
     if np.any(budgets < 0) or not np.all(np.isfinite(budgets)):
         raise ValueError("budgets must be finite and nonnegative")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (k,):
+            raise ValueError(f"start must have shape ({k},)")
     if n == 0:
         return GroupedAllocationResult(np.zeros(0), 0.0, np.zeros(k), 0)
 
-    alloc, _, _, d, b = _fill(batch, budgets, groups, rel_tol, max_iter, ctx)
-    # Every bracket pass (the last finds no pool over) and bisection pass.
+    alloc, _, _, d, b = _fill(batch, budgets, groups, rel_tol, max_iter, ctx, start=start)
+    # The opening pass, every bracket pass and every regula falsi pass.
     doublings, steps = int(d.max()), int(b.max())
     if ctx is not None:
         ctx.count(BATCH_EVALUATIONS, doublings + 1 + steps)

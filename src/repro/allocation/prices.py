@@ -25,7 +25,8 @@ Three stages, each an O(n log n) array kernel with no per-thread Python:
    float roundoff.
 3. **refill** — each server's capacity is re-split optimally among its
    residents by the grouped water-fill (:func:`~repro.core.batch.reclaim_batch`
-   at a relaxed tolerance), recovering the utility clipped at segment
+   at a relaxed tolerance, every server's price search starting at the
+   discovered price), recovering the utility clipped at segment
    boundaries.  The solver registers with ``reclaim=False``: this pass
    *is* its reclamation, run at a tolerance chosen for the large-n regime.
 
@@ -68,7 +69,7 @@ DEFAULT_DAMPING = 0.5
 #: Price-update iteration cap (the safeguard bisects, so the bracket
 #: shrinks at least geometrically and this is never a real bound).
 DEFAULT_MAX_ITER = 200
-#: Bisection tolerance of the per-server refill pass.  Relaxed relative to
+#: Price-search tolerance of the per-server refill pass.  Relaxed relative to
 #: the reclaim default (1e-12): at n = 10⁵⁺ the refill is the second
 #: largest cost and the utility left behind at 1e-6 is below measurement
 #: noise, which the oracle-equivalence tests pin.
@@ -285,7 +286,7 @@ def discover_price(
 
     Semantically :func:`~repro.allocation.waterfill.water_fill` with a
     different search: typically ~20 demand evaluations at ``rel_tol=1e-6``
-    versus ~40 bisections at the water-fill's 1e-12, and the iteration is
+    versus 15–17 search steps at the water-fill's 1e-12, and the iteration is
     shared bit-for-bit with the trial-batched kernel (this wrapper runs a
     one-trial batch).
     """
@@ -367,7 +368,7 @@ def price_discovery_batch_kernel(
     )
     servers, alloc = pack_demands_batch(result.allocations, bp.n_servers, bp.capacity)
     packed = BatchAssignment(servers=servers, allocations=alloc)
-    return reclaim_batch(bp, packed, ctx, rel_tol=refill_tol)
+    return reclaim_batch(bp, packed, ctx, rel_tol=refill_tol, start=result.price)
 
 
 def price_discovery(
@@ -414,6 +415,7 @@ def price_discovery(
             BatchAssignment(servers=servers, allocations=alloc),
             ctx,
             rel_tol=refill_tol,
+            start=result.price,
         )
     return refilled.assignment(0)
 

@@ -2,14 +2,14 @@
 
 The Section VII harness evaluates hundreds of independent random instances
 per sweep point.  Solving them one at a time leaves the whole pipeline at
-Python-loop speed — every trial pays its own bisection loop, sort calls
+Python-loop speed — every trial pays its own water-fill loop, sort calls
 and bookkeeping.  This module stores a *sweep point* as struct-of-arrays
 instead: a :class:`BatchProblem` stacks all trials' utilities into one
 flat trial-major :class:`~repro.utility.batch.UtilityBatch` plus per-trial
 ``(m, C)`` arrays, and the vectorized kernels
 (:func:`linearize_batch`, the batched Algorithm 2 in
 :mod:`repro.core.algorithm2_batch`, :func:`reclaim_batch`) advance every
-trial in lock-step with O(1) Python overhead per bisection/greedy step.
+trial in lock-step with O(1) Python overhead per price-search/greedy step.
 
 The oracle-equivalence contract
 -------------------------------
@@ -244,6 +244,7 @@ def reclaim_batch(
     ctx: "SolveContext | None" = None,
     *,
     rel_tol: float = 1e-12,
+    start: np.ndarray | None = None,
 ) -> BatchAssignment:
     """Per-server water-fill reclamation for every trial in lock-step.
 
@@ -253,9 +254,14 @@ def reclaim_batch(
     Counter totals (``RECLAIM_CALLS``, ``BATCH_EVALUATIONS``,
     ``GROUPED_BISECTION_ITERATIONS``) are summed per-trial equivalents.
 
-    ``rel_tol`` is the per-group bisection tolerance (the default matches
+    ``rel_tol`` is the per-group price tolerance (the default matches
     the scalar reclaim pass; the price-discovery solver relaxes it — its
-    refill stage is a wall-clock hot spot at n = 10⁵⁺).
+    refill stage is a wall-clock hot spot at n = 10⁵⁺).  ``start``, shape
+    ``(trials,)``, seeds the price search of every server of trial ``t``
+    at ``start[t]`` instead of 1 — bit-identical to ``water_fill_grouped``
+    per trial with ``start=np.full(m_t, start[t])``.  Price discovery
+    passes its discovered prices; a start that is not positive and
+    finite falls back to 1.
     """
     T, n = bp.n_trials, bp.n_threads
     if ctx is not None:
@@ -266,7 +272,14 @@ def reclaim_batch(
     m = bp.n_servers
     offsets = np.concatenate(([0], np.cumsum(m)))[:-1]
     groups = (offsets[:, None] + assignment.servers).reshape(-1)
-    alloc, _, _, d, b = _fill(bp.utilities, np.repeat(bp.capacity, m), groups, rel_tol, 200, ctx)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (T,):
+            raise ValueError(f"start must have shape ({T},)")
+        start = np.repeat(start, m)
+    alloc, _, _, d, b = _fill(
+        bp.utilities, np.repeat(bp.capacity, m), groups, rel_tol, 200, ctx, start=start
+    )
     if ctx is not None:
         # Each trial counts as its own grouped call over its m_t pools.
         doublings = np.maximum.reduceat(d, offsets)

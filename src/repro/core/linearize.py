@@ -78,7 +78,7 @@ def linearize(
 
     ``ctx`` is an optional :class:`~repro.engine.context.SolveContext`;
     when given, the call is counted and timed and the inner water-fill's
-    bisection iterations are recorded.  Prefer resolving linearizations
+    price-search steps are recorded.  Prefer resolving linearizations
     through :meth:`SolveContext.linearization` (or a shared
     :class:`~repro.engine.cache.LinearizationCache`) when several solvers
     run on the same instance.

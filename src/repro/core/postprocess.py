@@ -33,8 +33,8 @@ def waterfill_within_servers(
     """Optimal allocation of each server's capacity given a fixed assignment.
 
     ``servers[i]`` names thread ``i``'s server; each server's full capacity
-    is water-filled among its threads (one vectorized grouped bisection for
-    all servers).  This is both the reclamation post-pass and the
+    is water-filled among its threads (one vectorized grouped price search
+    for all servers).  This is both the reclamation post-pass and the
     allocation half of every two-step baseline.
     """
     servers = np.asarray(servers, dtype=np.int64)
@@ -57,7 +57,7 @@ def reclaim(
     """Reallocate idle per-server resource; never decreases total utility.
 
     ``ctx`` is an optional :class:`~repro.engine.context.SolveContext`
-    recording the pass (and its grouped bisection iterations).
+    recording the pass (and its grouped price-search passes).
     """
     if ctx is None:
         return waterfill_within_servers(problem, assignment.servers)

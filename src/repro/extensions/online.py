@@ -21,7 +21,11 @@ The scalar utility objects are kept only for serialization.
 
 Every fill prices servers in lock-step.  Each server's λ is one entry of
 a price vector that :func:`~repro.allocation.grouped.water_fill_grouped`
-bisects for all servers at once:
+searches for all servers at once, starting each server at its current
+price (the largest marginal among its unsaturated residents, derived from
+the state alone, so a restored scheduler fills exactly as the live one).
+A join only raises a server's price and a departure only lowers it, so the
+search brackets the new price in a step or two:
 
 * :meth:`OnlineScheduler.placement_gain` runs **one** grouped fill per
   arrival over the residents (group = their server) plus ``m`` copies of
@@ -31,7 +35,7 @@ bisects for all servers at once:
   group's allocations from that same fill instead of filling again;
 * the gain is clamped at ``0.0``: the newcomer may take nothing, so adding
   a thread never lowers a water-filled optimum, and a negative difference
-  is bisection noise (an admission floor of 0 would otherwise refuse it);
+  is price-search noise (an admission floor of 0 would otherwise refuse it);
 * departures and capacity changes only mark servers stale; a server's
   fill depends on its resident set alone, so every stale server is
   re-filled together in one grouped call before the next read.
@@ -199,6 +203,7 @@ class OnlineScheduler:
         rows = np.flatnonzero(np.isin(self._server, touched))
         if rows.size == 0:
             return
+        start = self._prices()[touched]
         batch = self._packed()
         if rows.size < len(batch):
             batch = batch.subset(rows)
@@ -206,8 +211,28 @@ class OnlineScheduler:
             batch,
             np.searchsorted(touched, self._server[rows]),
             np.full(touched.size, self.capacity),
+            start=start,
         )
         self._alloc[rows] = fill.allocations
+
+    def _prices(self) -> np.ndarray:
+        """Each server's price in the current allocation: the largest
+        marginal ``f_i'(c_i)`` among its unsaturated residents (``-inf``
+        when it has none, which the fill replaces by its default start).
+
+        It seeds the next fill of each server.  It is derived from the
+        servers, allocations and utilities alone, so a restored scheduler
+        seeds its fills exactly as the live one would have.
+        """
+        prices = np.full(self.n_servers, -np.inf)
+        if not self._ids:
+            return prices
+        batch = self._packed()
+        open_rows = self._alloc < batch.caps
+        np.maximum.at(
+            prices, self._server[open_rows], batch.derivative(self._alloc)[open_rows]
+        )
+        return prices
 
     def _server_utilities(self) -> np.ndarray:
         """Each server's current utility (settled state)."""
@@ -282,6 +307,7 @@ class OnlineScheduler:
             batch,
             np.concatenate([self._server, np.arange(m, dtype=np.int64)]),
             np.full(m, self.capacity),
+            start=self._prices(),
         )
         gains = fill.group_utilities - self._server_utilities()
         best = int(np.argmax(gains))

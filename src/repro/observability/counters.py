@@ -17,13 +17,15 @@ LINEARIZE_CALLS = "linearize_calls"
 #: Cache hits / misses observed by :class:`repro.engine.LinearizationCache`.
 LINEARIZE_CACHE_HITS = "linearize_cache_hits"
 LINEARIZE_CACHE_MISSES = "linearize_cache_misses"
-#: Single-pool water-fill invocations and their bisection iterations.
+#: Single-pool water-fill invocations and their price-search steps
+#: (bracket moves plus regula falsi steps; the name predates the search).
 WATERFILL_CALLS = "waterfill_calls"
 BISECTION_ITERATIONS = "waterfill_bisection_iterations"
 #: Vectorized utility-batch evaluations inside water-filling (one per
 #: demand query over the whole batch).
 BATCH_EVALUATIONS = "utility_batch_evaluations"
-#: Grouped (per-server) water-fill bisection iterations.
+#: Grouped (per-server) water-fill price-search passes: the most bracket
+#: moves of any group plus the most regula falsi steps of any group.
 GROUPED_BISECTION_ITERATIONS = "grouped_bisection_iterations"
 #: Algorithm 1 commit rounds (one thread committed per round).
 ALG1_ROUNDS = "alg1_rounds"
@@ -42,7 +44,7 @@ BATCH_TRIALS = "batch_trials"
 BATCH_FALLBACKS = "batch_fallbacks"
 #: Damped price updates performed by the price-discovery solver (one per
 #: demand evaluation of its tatonnement loop, summed per-trial like the
-#: bisection counters).
+#: water-fill counters).
 PRICE_UPDATE_ITERATIONS = "price_update_iterations"
 #: Final relative residual ``|D(price) - budget| / budget`` of each price
 #: discovery, recorded in integer parts-per-billion (counters are

@@ -114,8 +114,22 @@ class ExactSum:
         return math.fsum(self._partials)
 
     def partials(self) -> list[float]:
-        """The expansion itself (serialize this to merge losslessly later)."""
-        return list(self._partials)
+        """The expansion in canonical form (serialize this to merge losslessly
+        later): the correctly rounded value, then the correctly rounded
+        remainder, and so on until the remainder is zero.
+
+        The internal partials depend on the order the floats arrived in;
+        this list depends only on the exact sum, so equal sums serialize
+        equally however they were accumulated or merged.
+        """
+        out: list[float] = []
+        rest = ExactSum(self._partials)
+        value = rest.value
+        while value:
+            out.append(value)
+            rest.add(-value)
+            value = rest.value
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExactSum({self.value!r})"

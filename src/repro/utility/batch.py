@@ -6,7 +6,7 @@ scalar methods in a loop would dominate the runtime (see the HPC guidance:
 vectorize the hot loop, not the wrapper).  A :class:`UtilityBatch` stores the
 parameters of ``n`` utilities in parallel numpy arrays and evaluates
 ``value`` / ``derivative`` / ``inverse_derivative`` for *all* threads at
-once, so the water-filling bisection costs O(n) numpy work per step.
+once, so each water-filling price-search step costs O(n) numpy work.
 
 :class:`GenericBatch` adapts any list of scalar
 :class:`~repro.utility.base.UtilityFunction` objects to the batch interface
@@ -59,8 +59,8 @@ class UtilityBatch(abc.ABC):
     def inverse_derivative_each(self, lam: np.ndarray) -> np.ndarray:
         """Per-thread prices: ``out[i]`` = demand of thread ``i`` at ``lam[i]``.
 
-        Powers the *grouped* water-filling (one bisection per server, all
-        servers in lock-step).  The default materializes scalar functions;
+        Powers the *grouped* water-filling (one price search per server,
+        all servers in lock-step).  The default materializes scalar functions;
         the array-parameterized batches override with closed forms.
         """
         lam = np.asarray(lam, dtype=float)
@@ -117,7 +117,7 @@ class QuadSplineBatch(UtilityBatch):
         self.d1 = np.minimum(0.5 * (s1 + s2), 2.0 * s2)
         self.d0 = 2.0 * s1 - self.d1
         self.d2 = 2.0 * s2 - self.d1
-        # Demand-path precomputation: the water-filling bisection calls
+        # Demand-path precomputation: the water-filling price search calls
         # _demand dozens of times per solve with only lam changing, so the
         # lam-independent pieces are hoisted here.
         self._h2 = self.caps - self.xm
@@ -146,7 +146,7 @@ class QuadSplineBatch(UtilityBatch):
     def _demand(self, lam) -> np.ndarray:
         """Closed-form demand; ``lam`` may be scalar or per-thread array.
 
-        Hot path of every water-filling bisection step: written with
+        Hot path of every water-filling price-search step: written with
         in-place updates on freshly allocated temporaries (the elementwise
         arithmetic is the historical ``xm*(d0-lam)/(d0-d1)`` /
         ``xm + h2*(d1-lam)/(d1-d2)`` formulas, reassociated only by

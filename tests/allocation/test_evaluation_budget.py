@@ -1,0 +1,94 @@
+"""Demand-evaluation budgets of the water-fill price search.
+
+Deterministic counts, no timing: every fill's cost is its number of
+demand evaluations (one pass over the pool's threads each), and the
+geometric bracket plus Anderson–Björck regula falsi must keep those
+counts well under the ~40 that bisecting to ``rel_tol = 1e-12`` took.
+The instances mirror the benchmark's workloads: the large-n super-optimal
+fill and Algorithm 2's reclaim (n = 10⁵, β = 8), and the online
+scheduler's warm-started fills at churn's size (m = 8, 128 residents).
+"""
+
+import numpy as np
+import pytest
+
+import repro
+from repro.allocation.grouped import water_fill_grouped
+from repro.allocation.prices import discover_prices_batch, pack_demands_batch
+from repro.allocation.waterfill import water_fill
+from repro.core.batch import BatchAssignment, BatchProblem, reclaim_batch
+from repro.engine import SolveContext
+from repro.extensions.online import OnlineScheduler
+from repro.observability import BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS
+from repro.workloads import UniformDistribution, make_problem, paper_utilities
+
+CAP = 1000.0
+
+
+@pytest.fixture(scope="module")
+def big_problem():
+    """The benchmark's large instance shape: n = 10⁵ paper quadsplines, β = 8."""
+    return make_problem(UniformDistribution(), 12_500, 8.0, CAP, seed=[1, 5, 0])
+
+
+def test_large_super_optimal_fill_takes_at_most_20_steps(big_problem):
+    """A cold fill at budget m·C: about 10 halvings from the opening price
+    1 down to the clearing price ≈ 1.8e-3, then a few secant steps."""
+    ctx = SolveContext()
+    res = water_fill(big_problem.utilities, 12_500 * CAP, ctx=ctx)
+    assert res.iterations <= 20
+    assert ctx.counters[BATCH_EVALUATIONS] == res.iterations + 3
+
+
+def test_alg2_reclaim_takes_at_most_30_grouped_passes(big_problem):
+    """Algorithm 2 leaves a hockey-stick pool (tens of thousands of
+    zero-grant threads on one server); Anderson–Björck keeps its search
+    short where a fixed Illinois halving crawls."""
+    ctx = SolveContext()
+    repro.solve(big_problem, "alg2", ctx=ctx)
+    assert ctx.counters[GROUPED_BISECTION_ITERATIONS] <= 30
+
+
+def test_discovered_price_start_cuts_the_refill(big_problem):
+    """Price discovery's refill starts every server at the discovered
+    price.  From the default start of 1 the same refill takes about 3× the
+    passes; both reach the same utility (the refill tolerance, 1e-6 on the
+    price, leaves near-tied threads' split free)."""
+    bp = BatchProblem(big_problem.utilities, 1, big_problem.n_servers, CAP)
+    prices = discover_prices_batch(bp.utilities, 1, bp.pools)
+    servers, alloc = pack_demands_batch(prices.allocations, bp.n_servers, bp.capacity)
+    packed = BatchAssignment(servers, alloc)
+    passes, utilities = [], []
+    for start in (None, prices.price):
+        ctx = SolveContext()
+        out = reclaim_batch(bp, packed, ctx, rel_tol=1e-6, start=start)
+        passes.append(ctx.counters[GROUPED_BISECTION_ITERATIONS])
+        utilities.append(bp.utilities.total(out.allocations[0]))
+    cold, warm = passes
+    assert warm <= 15 and 2 * warm <= cold
+    assert utilities[1] == pytest.approx(utilities[0], rel=1e-9)
+
+
+def test_churn_fills_average_at_most_6_passes(monkeypatch):
+    """Placement and departure fills start each server at its current
+    price, so a churn step costs a few passes instead of ~40."""
+    import repro.extensions.online as online
+
+    utilities = paper_utilities(UniformDistribution(), 528, CAP, seed=7).functions()
+    s = OnlineScheduler(8, CAP)
+    for k in range(128):
+        s.add_thread(f"r{k}", utilities[k])
+    passes = []
+
+    def counted(*args, **kwargs):
+        res = water_fill_grouped(*args, **kwargs)
+        passes.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(online, "water_fill_grouped", counted)
+    for k in range(200):
+        s.add_thread(f"n{k}", utilities[128 + k])
+        s.remove_thread(s.thread_ids[0])
+        s.total_utility()  # settles the departure's server
+    assert len(passes) == 400
+    assert np.mean(passes) <= 6.0

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import repro
 from repro.allocation.grouped import water_fill_grouped
 from repro.allocation.waterfill import kkt_violation, water_fill, water_fill_batch
-from repro.utility.batch import GenericBatch, PowerBatch, QuadSplineBatch, as_batch
+from repro.utility.batch import (
+    GenericBatch,
+    PowerBatch,
+    QuadSplineBatch,
+    SharedGridPWLBatch,
+    as_batch,
+)
 from repro.utility.functions import (
     CappedLinearUtility,
     LinearUtility,
@@ -124,6 +130,54 @@ def test_result_reports_iterations_and_price():
     assert res.marginal_price > 0
 
 
+def _random_pools(family, rng, trials, n):
+    """``trials`` pools of ``n`` random threads of one family, trial-major."""
+    size = trials * n
+    if family == "quadspline":
+        v = rng.uniform(0.5, 3.0, size)
+        return QuadSplineBatch(v, v * rng.uniform(0.0, 1.0, size), CAP)
+    if family == "power":
+        return PowerBatch(rng.uniform(0.5, 3.0, size), rng.uniform(0.2, 0.9, size), CAP)
+    # Concave piecewise-linear rows on one knot grid: decreasing slopes.
+    xs = np.linspace(0.0, CAP, 6)
+    slopes = -np.sort(-rng.uniform(0.01, 2.0, (size, 5)), axis=1)
+    ys = np.concatenate([np.zeros((size, 1)), np.cumsum(slopes * 2.0, axis=1)], axis=1)
+    return SharedGridPWLBatch(xs, ys)
+
+
+def _assert_interior_marginals_equal(batch, alloc, price):
+    """Every thread strictly inside its domain (and, for piecewise-linear
+    utilities, strictly between knots) has marginal ``price``."""
+    inside = (alloc > 1e-9) & (alloc < batch.caps - 1e-9)
+    if isinstance(batch, SharedGridPWLBatch):
+        gap = np.min(np.abs(alloc[:, None] - batch.xs[None, :]), axis=1)
+        inside &= gap > 1e-9
+    assert price > 1e-4  # large enough for a relative check at rel_tol 1e-12
+    marginals = batch.derivative(alloc)[inside]
+    np.testing.assert_allclose(marginals, price, rtol=1e-6)
+    return int(np.count_nonzero(inside))
+
+
+@pytest.mark.parametrize("family", ["quadspline", "power", "pwl"])
+def test_reported_price_is_the_interior_marginal(family):
+    """``marginal_price`` is the price the interior threads actually pay,
+    from scalar ``water_fill`` and from every row of ``water_fill_batch``.
+    A secant search can stop with one bracket end far from the root, so
+    the bracket's midpoint is not a valid report."""
+    rng = np.random.default_rng(11)
+    trials, n = 12, 40
+    batch = _random_pools(family, rng, trials, n)
+    budgets = rng.uniform(0.2, 0.8, trials) * n * CAP
+    rows = water_fill_batch(batch, trials, budgets)
+    interior = 0
+    for t in range(trials):
+        pool = batch.subset(np.arange(t * n, (t + 1) * n))
+        res = water_fill(pool, budgets[t])
+        interior += _assert_interior_marginals_equal(pool, res.allocations, res.marginal_price)
+        assert rows.marginal_price[t] == res.marginal_price
+    assert interior >= trials  # at least one interior thread per pool
+
+
 @settings(max_examples=60, deadline=None)
 @given(utility_lists(1, 6), st.floats(min_value=0.0, max_value=60.0))
 def test_waterfill_satisfies_kkt_property(fns, budget):
@@ -178,52 +232,56 @@ def test_kkt_violation_zero_at_optimum():
 
 
 def test_bracket_loop_honors_deadline():
-    """A pathological derivative scale (~100 doublings to bracket) must hit
-    the deadline *inside* the exponential bracket loop, before bisection
-    ever starts — measured by the batch-evaluation counter staying tiny."""
+    """A pathological derivative scale (~100 doublings up to a price near
+    1e30, or ~40 halvings down towards one near 1e-30) must hit the
+    deadline *inside* the bracket walk, before regula falsi ever starts —
+    measured by the batch-evaluation counter staying tiny."""
     from repro.engine import SolveContext, SolveTimeout
     from repro.observability import BATCH_EVALUATIONS
 
-    fns = [LogUtility(1e30, 1.0, CAP), LogUtility(1e30, 1.0, CAP)]
-    ctx = SolveContext(budget_s=1e-9)
-    with pytest.raises(SolveTimeout):
-        water_fill(fns, 5.0, ctx=ctx)
-    # Without the bracket-loop check, ~100 demand evaluations would have
-    # run before the bisection loop's own deadline check fired.
-    assert ctx.counters[BATCH_EVALUATIONS] <= 2
+    for coeff in (1e30, 1e-30):
+        fns = [LogUtility(coeff, 1.0, CAP), LogUtility(coeff, 1.0, CAP)]
+        ctx = SolveContext(budget_s=1e-9)
+        with pytest.raises(SolveTimeout):
+            water_fill(fns, 5.0, ctx=ctx)
+        # Without the bracket-walk check, dozens of demand evaluations would
+        # have run before the regula falsi loop's own deadline check fired.
+        assert ctx.counters[BATCH_EVALUATIONS] <= 2, coeff
 
 
 @pytest.mark.parametrize("entry", ["water_fill_grouped", "water_fill_batch", "reclaim_batch"])
 def test_lock_step_bracket_loop_honors_deadline(entry, monkeypatch):
-    """The batched entries share one lock-step kernel whose bracket loop
-    polls the deadline too.  The batch entries record ``BATCH_EVALUATIONS``
-    only after the loops, so a spy on the demand oracle counts instead."""
+    """The batched entries share one lock-step kernel whose bracket walk
+    polls the deadline too, upwards (a price near 1e30) and downwards (near
+    1e-30).  The batch entries record ``BATCH_EVALUATIONS`` only after the
+    loops, so a spy on the demand oracle counts instead."""
     from repro.core.batch import BatchAssignment, BatchProblem, reclaim_batch
     from repro.engine import SolveContext, SolveTimeout
 
-    batch = as_batch([LogUtility(1e30, 1.0, CAP), LogUtility(1e30, 1.0, CAP)])
-    oracle = batch.inverse_derivative_each
-    evaluations = []
+    for coeff in (1e30, 1e-30):
+        batch = as_batch([LogUtility(coeff, 1.0, CAP), LogUtility(coeff, 1.0, CAP)])
+        oracle = batch.inverse_derivative_each
+        evaluations = []
 
-    def spy(lam):
-        evaluations.append(lam)
-        return oracle(lam)
+        def spy(lam):
+            evaluations.append(lam)
+            return oracle(lam)
 
-    monkeypatch.setattr(batch, "inverse_derivative_each", spy)
-    ctx = SolveContext(budget_s=1e-9)
-    with pytest.raises(SolveTimeout):
-        if entry == "water_fill_grouped":
-            water_fill_grouped(batch, [0, 0], [5.0], ctx=ctx)
-        elif entry == "water_fill_batch":
-            water_fill_batch(batch, 1, [5.0], ctx=ctx)
-        else:  # both threads on one server of capacity CAP < 2 * CAP
-            servers = np.zeros((1, 2), dtype=np.int64)
-            reclaim_batch(
-                BatchProblem(batch, 1, 1, CAP),
-                BatchAssignment(servers, np.zeros((1, 2))),
-                ctx=ctx,
-            )
-    assert len(evaluations) <= 2
+        monkeypatch.setattr(batch, "inverse_derivative_each", spy)
+        ctx = SolveContext(budget_s=1e-9)
+        with pytest.raises(SolveTimeout):
+            if entry == "water_fill_grouped":
+                water_fill_grouped(batch, [0, 0], [5.0], ctx=ctx)
+            elif entry == "water_fill_batch":
+                water_fill_batch(batch, 1, [5.0], ctx=ctx)
+            else:  # both threads on one server of capacity CAP < 2 * CAP
+                servers = np.zeros((1, 2), dtype=np.int64)
+                reclaim_batch(
+                    BatchProblem(batch, 1, 1, CAP),
+                    BatchAssignment(servers, np.zeros((1, 2))),
+                    ctx=ctx,
+                )
+        assert len(evaluations) <= 2, coeff
 
 
 def test_price_doubling_bracket_lives_only_in_waterfill():

@@ -11,6 +11,7 @@ serialized round trip.
 import numpy as np
 import pytest
 
+from repro.allocation.grouped import water_fill_grouped
 from repro.allocation.waterfill import water_fill
 from repro.core.problem import AAProblem
 from repro.extensions.online import OnlineScheduler
@@ -137,3 +138,50 @@ def test_one_submit_runs_one_placement(monkeypatch):
     (resp,) = bus.request(SubmitThread("t9", fns[9]))
     assert resp.ok
     assert len(fills) == 1
+
+
+def _churn(s, rng, utilities, ops, prefix):
+    """``ops`` random submits and removals (oldest-first ids are not assumed)."""
+    for k in range(ops):
+        if rng.uniform() < 0.5 or len(s) < 2:
+            s.add_thread(f"{prefix}{k}", next(utilities))
+        else:
+            s.remove_thread(s.thread_ids[int(rng.integers(len(s)))])
+
+
+def test_warm_started_fills_equal_cold_grouped_fills():
+    """Every fill starts each server at its current price; the allocations
+    must be those of a cold grouped fill (default start) of the same
+    residents, to the search's tolerance."""
+    rng = np.random.default_rng(5)
+    utilities = iter(paper_utilities(UniformDistribution(), 600, CAP, seed=5).functions())
+    s = OnlineScheduler(8, CAP)
+    for k in range(96):
+        s.add_thread(f"r{k}", next(utilities))
+    for round_ in range(4):
+        _churn(s, rng, utilities, 60, f"c{round_}-")
+        live = s.assignment()
+        cold = water_fill_grouped(s.problem().utilities, live.servers, np.full(8, CAP))
+        np.testing.assert_allclose(live.allocations, cold.allocations, rtol=1e-9, atol=1e-9 * CAP)
+
+
+def test_restored_scheduler_replays_churn_bit_identically():
+    """Fill starts derive from (servers, allocations, utilities) alone, so a
+    scheduler restored from a snapshot takes exactly the live one's next
+    fills: the same 50 operations leave bit-identical states."""
+    rng = np.random.default_rng(9)
+    utilities = paper_utilities(UniformDistribution(), 300, CAP, seed=9).functions()
+    live = OnlineScheduler(8, CAP)
+    stream = iter(utilities)
+    for k in range(100):
+        live.add_thread(f"r{k}", next(stream))
+    _churn(live, rng, stream, 40, "a")
+    restored = scheduler_state_from_dict(scheduler_state_to_dict(live))
+    tail = list(stream)
+    for s in (live, restored):
+        _churn(s, np.random.default_rng(10), iter(tail), 50, "b")
+    assert live.thread_ids == restored.thread_ids
+    a, b = live.assignment(), restored.assignment()
+    assert np.array_equal(a.servers, b.servers)
+    assert np.array_equal(a.allocations, b.allocations)
+    assert scheduler_state_to_dict(live) == scheduler_state_to_dict(restored)

@@ -6,6 +6,7 @@ registry so that the rendered values are bit-identical to a serial run —
 the hypothesis tests below drive that for arbitrary observation splits.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -59,6 +60,41 @@ def test_exact_sum_merge_equals_single_stream(values, cut):
     left, right = ExactSum(values[:cut]), ExactSum(values[cut:])
     left.merge(right)
     assert left.value == whole.value
+
+
+def test_exact_sum_partials_canonical_over_permutations():
+    """Fifteen insertion orders of these floats leave fifteen different
+    internal expansions; the serialized partials are one list."""
+    values = [0.1, 0.7, 29.3, 1e-16, 3.3, 2.1]
+    expected = [35.5, 6.828670879282072e-16, -4.930380657631324e-32]
+    for order in itertools.permutations(values):
+        assert ExactSum(order).partials() == expected
+
+
+@given(
+    st.lists(finite_floats, max_size=30),
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(min_value=0, max_value=30), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_partials_canonical_over_merge_trees(values, rng, cuts):
+    """Any order and any tree of merges serializes the same partials: the
+    correctly rounded value, then each rounded remainder, down to zero."""
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    bounds = sorted({0, len(shuffled), *(min(c, len(shuffled)) for c in cuts)})
+    sums = [ExactSum(shuffled[a:b]) for a, b in zip(bounds, bounds[1:])]
+    while len(sums) > 1:  # merge random neighbours until one sum is left
+        k = rng.randrange(len(sums) - 1)
+        sums[k].merge(sums.pop(k + 1))
+    merged = sums[0] if sums else ExactSum()
+    canonical = ExactSum(values).partials()
+    assert merged.partials() == canonical
+    assert math.fsum(canonical) == merged.value
+    assert all(abs(a) > abs(b) for a, b in zip(canonical, canonical[1:]))
+    assert 0.0 not in canonical
+    # Serialized partials reload to the same exact sum.
+    assert ExactSum(canonical).partials() == canonical
 
 
 # -- instruments ---------------------------------------------------------------
