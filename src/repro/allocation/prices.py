@@ -183,9 +183,7 @@ def discover_prices_batch(
 
     def demand_rows(lam_rows: np.ndarray) -> np.ndarray:
         lam_threads = np.repeat(lam_rows, n)
-        d = batch.inverse_derivative_each(lam_threads)
-        np.minimum(d, caps, out=d)  # d is a fresh temporary; cap in place
-        return d.reshape(n_trials, n)
+        return batch.inverse_derivative_each(lam_threads).reshape(n_trials, n)
 
     # Opening quote: the median positive marginal at half caps puts the
     # first price inside the demand curve's active range, so the clipped

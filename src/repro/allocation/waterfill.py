@@ -20,7 +20,9 @@ batch's vectorized ``inverse_derivative`` in two phases:
    cannot hold the secant back as in plain regula falsi (Algorithm 2's
    hockey-stick reclaim pools need it), and ``lam*`` is reached in one
    step once both ends lie on one linear piece of a piecewise-linear
-   demand (``QuadSplineBatch``, piecewise-linear utilities).
+   demand (``QuadSplineBatch``, piecewise-linear utilities).  After 100
+   secant steps a pool bisects instead, so a demand that jumps at the
+   price (a linear utility's step) still closes its bracket.
 
 The search stops when the bracket is narrower than
 ``rel_tol * max(lam_hi, 1)`` or on an exact hit; at the paper's sizes that
@@ -50,6 +52,16 @@ from repro.observability import (
     WATERFILL_CALLS,
 )
 from repro.utility.batch import UtilityBatch, as_batch
+
+
+#: Regula falsi steps a pool takes before it bisects.  Anderson-Bjorck
+#: crawls when the demand jumps at the root (a linear utility's step next
+#: to a smooth one): each three steps shave a few percent off the bracket,
+#: and 200 steps left such a pool far from its price.  No pool of the
+#: paper's workloads needs more than about 60 secant steps; past 100 a pool
+#: halves its bracket instead, so a [lam, 2 lam] bracket closes to 1e-12
+#: within 141 steps.
+_SECANT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,8 @@ def water_fill(
     rel_tol:
         Relative width of the final ``lam`` bracket.
     max_iter:
-        Cap on regula falsi steps (the bracket walk is not capped).
+        Cap on regula falsi steps (the bracket walk is not capped); steps
+        past the 100th bisect.
     ctx:
         Optional :class:`~repro.engine.context.SolveContext`; records the
         call, its search steps (``BISECTION_ITERATIONS``: bracket moves plus
@@ -132,7 +145,7 @@ def water_fill(
     def demand(lam: float) -> np.ndarray:
         if ctx is not None:
             ctx.count(BATCH_EVALUATIONS)
-        return np.minimum(batch.inverse_derivative(lam), caps)
+        return batch.inverse_derivative(lam)  # at most caps: the family clips
 
     # Bracket: from lam = 1, double while the pool is over budget or halve
     # while it is under, until the price lies in [lam, 2 lam] or in
@@ -170,11 +183,12 @@ def water_fill(
     # Anderson-Bjorck factor 1 - f_new / f_old (1/2 when that is not
     # positive), so the secant cannot stall against it.  Each point keeps
     # half a tolerance away from both ends: a root that close to an end is
-    # then bracketed to tolerance by the next step.
+    # then bracketed to tolerance by the next step.  After _SECANT_STEPS
+    # steps the point is the bracket's midpoint.
     if f_hi == 0.0:
         lam_lo = lam_hi  # an exact hit closes the bracket
     side = 0
-    for _ in range(max_iter):
+    for step in range(max_iter):
         if ctx is not None:
             ctx.check_deadline()
         tol = rel_tol * max(lam_hi, 1.0)
@@ -183,6 +197,8 @@ def water_fill(
             break
         lam = lam_lo + width * (f_lo / (f_lo - f_hi))
         lam = max(min(lam, lam_hi - 0.5 * tol), lam_lo + 0.5 * tol)
+        if step >= _SECANT_STEPS:
+            lam = lam_lo + 0.5 * width
         iterations += 1
         f = float(np.sum(demand(lam))) - budget
         if f > 0.0:
@@ -252,8 +268,7 @@ def _fill(
             return np.bincount(pool_of, weights=x, minlength=k)
 
     def demand(lam: np.ndarray) -> np.ndarray:
-        x = batch.inverse_derivative_each(spread(lam))
-        return np.minimum(x, caps, out=x)  # x is a fresh temporary
+        return batch.inverse_derivative_each(spread(lam))  # at most caps
 
     def excess(lam: np.ndarray) -> np.ndarray:
         return pool_sum(demand(lam)) - budgets
@@ -303,7 +318,7 @@ def _fill(
     lam_lo = np.where(active & (f_hi != 0.0), lam_lo, lam_hi)  # closed: no search
     last = np.full(k, -1)  # the end each pool moved last (True: lo); -1: none yet
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for step in range(max_iter):
             if ctx is not None:
                 ctx.check_deadline()
             tol = rel_tol * np.maximum(lam_hi, 1.0)
@@ -318,6 +333,8 @@ def _fill(
             lam += lam_lo
             np.fmin(lam, lam_hi - tol, out=lam)
             np.fmax(lam, lam_lo + tol, out=lam)
+            if step >= _SECANT_STEPS:  # no pool has taken more steps than passes
+                np.copyto(lam, lam_lo + 0.5 * width, where=b >= _SECANT_STEPS)
             b += todo
             f = excess(lam)
             over = f > 0.0

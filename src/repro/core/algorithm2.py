@@ -6,9 +6,12 @@ ordering by the ramp slope ``g_i(ĉ_i)/ĉ_i`` (nonincreasing).  Walk the
 threads in order, always assigning to the server with the most remaining
 resource and granting ``min(ĉ_i, residual)``.  A ``heapq`` max-heap of
 ``(-residual, server)`` keys makes each step one peek and one
-``heapreplace``, ``O(log m)``; the super-optimal allocation dominates the
-total running time.  :func:`max_residual_walk` is that walk, shared with
-the discrete pipeline and the heterogeneous-capacity greedy.
+``heapreplace``, ``O(log m)``; a thread with ``ĉ_i = 0`` changes no
+residual, so it skips the heap and takes the server of the next thread
+that does (about half the threads at the paper's sizes).  The
+super-optimal allocation dominates the total running time.
+:func:`max_residual_walk` is that walk, shared with the discrete pipeline
+and the heterogeneous-capacity greedy.
 
 Both sorts are stable with index tie-breaks, so runs are deterministic and
 the Theorem V.17 tightness instance reproduces its 5/6 ratio exactly.
@@ -66,25 +69,38 @@ def max_residual_walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 2's greedy (lines 3-6): ``(servers, grants)`` per thread.
 
-    Visits the threads in ``order``; each goes to the server with the most
-    remaining resource, ties to the lowest server id, and is granted
-    ``min(demand[i], residual)``.  ``residuals`` holds each server's
-    starting resource.  The heap holds ``(-residual, server)``; the keys
-    are unique and only the peeked top is ever replaced, so its top is
-    exactly "max residual, then lowest id".  Negation is exact, so grants
-    and residuals are the values a max-heap over residuals would produce.
+    Visits the threads in ``order``, each thread at most once; each goes
+    to the server with the most remaining resource, ties to the lowest
+    server id, and is granted ``min(demand[i], residual)``.
+    ``residuals`` holds each server's starting resource, nonnegative and
+    not ``-0.0`` (every caller starts from positive capacities).  The heap
+    holds ``(-residual, server)``; the keys are unique and only the peeked
+    top is ever replaced, so its top is exactly "max residual, then lowest
+    id".  Negation is exact, so grants and residuals are the values a
+    max-heap over residuals would produce.
 
-    With ``ctx``, every step counts one peek and one replace under
-    ``ALG2_HEAP_OPS`` and polls the deadline.
+    Only threads with nonzero demand step through the heap, one peek and
+    one ``heapreplace`` each.  A zero-demand thread is granted its own
+    demand, ``+0.0`` or ``-0.0`` as ``min(d, r)`` returns it, and leaves
+    every residual as it was.  So it takes the server that the next
+    nonzero-demand thread in ``order`` takes, or the final top if none
+    follows, and one ``searchsorted`` places them all after the loop.
+
+    With ``ctx``, ``ALG2_HEAP_OPS`` counts one peek and one replace per
+    thread, zero-demand threads included, and every loop step polls the
+    deadline.
     """
     n = demand.shape[0]
     servers = np.full(n, -1, dtype=np.int64)
     grants = np.zeros(n, dtype=float)
+    ordered = demand[order]
+    zero = ordered == 0
+    steps = order[~zero]  # the threads that move a residual, in walk order
     heap = [(-r, j) for j, r in enumerate(residuals.tolist())]
     heapq.heapify(heap)
     replace = heapq.heapreplace
-    for start in range(0, order.shape[0], _WALK_CHUNK):
-        chunk = order[start : start + _WALK_CHUNK]
+    for start in range(0, steps.shape[0], _WALK_CHUNK):
+        chunk = steps[start : start + _WALK_CHUNK]
         picked: list[int] = []
         granted: list[float] = []
         for d in demand[chunk].tolist():
@@ -99,6 +115,14 @@ def max_residual_walk(
             replace(heap, (-(r - c), j))
         servers[chunk] = picked
         grants[chunk] = granted
+    # Each zero-demand thread takes the next stepping thread's server.
+    at = np.flatnonzero(zero)
+    after = np.append(servers[steps], heap[0][1])
+    waiting = order[at]
+    servers[waiting] = after[np.searchsorted(np.flatnonzero(~zero), at)]
+    grants[waiting] = ordered[at]
+    if ctx is not None:
+        ctx.count(ALG2_HEAP_OPS, 2 * at.shape[0])
     return servers, grants
 
 
@@ -111,7 +135,7 @@ def algorithm2(
 
     ``ctx`` is an optional :class:`~repro.engine.context.SolveContext`
     recording heap operations (one peek + one update per thread) and
-    enforcing the wall-clock deadline.
+    enforcing the wall-clock deadline at every thread with ``ĉ_i > 0``.
     """
     if lin is None:
         lin = linearize(problem, ctx=ctx) if ctx is None else ctx.linearization(problem)

@@ -54,20 +54,27 @@ class UtilityBatch(abc.ABC):
 
     @abc.abstractmethod
     def inverse_derivative(self, lam: float) -> np.ndarray:
-        """``out[i]`` = largest ``x <= caps[i]`` with ``f_i'(x) >= lam``."""
+        """``out[i]`` = largest ``x <= caps[i]`` with ``f_i'(x) >= lam``.
+
+        The result is a fresh array and never exceeds ``caps``: each family
+        clips its own demand, so price searches sum it as returned.
+        """
 
     def inverse_derivative_each(self, lam: np.ndarray) -> np.ndarray:
         """Per-thread prices: ``out[i]`` = demand of thread ``i`` at ``lam[i]``.
 
         Powers the *grouped* water-filling (one price search per server,
-        all servers in lock-step).  The default materializes scalar functions;
-        the array-parameterized batches override with closed forms.
+        all servers in lock-step).  Same contract as
+        :meth:`inverse_derivative`: fresh, and at most ``caps``.  The
+        default materializes scalar functions; the array-parameterized
+        batches override with closed forms.
         """
         lam = np.asarray(lam, dtype=float)
-        return np.array(
+        out = np.array(
             [f.inverse_derivative(l) for f, l in zip(self.functions(), lam)],
             dtype=float,
         )
+        return np.minimum(out, self.caps, out=out)
 
     @abc.abstractmethod
     def subset(self, idx) -> "UtilityBatch":
@@ -80,6 +87,12 @@ class UtilityBatch(abc.ABC):
     def total(self, c: np.ndarray) -> float:
         """Total utility ``sum_i f_i(c[i])`` of an allocation vector."""
         return float(np.sum(self.value(np.asarray(c, dtype=float))))
+
+
+def _reuse(fresh: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """``held`` when it has the same bits as ``fresh``, else ``fresh``."""
+    same = np.array_equal(fresh.view(np.int64), held.view(np.int64))
+    return held if same else fresh
 
 
 def _as_caps(cap, n: int) -> np.ndarray:
@@ -117,59 +130,65 @@ class QuadSplineBatch(UtilityBatch):
         self.d1 = np.minimum(0.5 * (s1 + s2), 2.0 * s2)
         self.d0 = 2.0 * s1 - self.d1
         self.d2 = 2.0 * s2 - self.d1
-        # Demand-path precomputation: the water-filling price search calls
-        # _demand dozens of times per solve with only lam changing, so the
-        # lam-independent pieces are hoisted here.
-        self._h2 = self.caps - self.xm
-        self._den1 = self.d0 - self.d1
-        self._den2 = self.d1 - self.d2
-        self._flat01 = self.d0 <= self.d1  # first segment has no slope range
-        self._flat12 = self.d1 <= self.d2  # second segment has no slope range
-        self._xm_flat12 = self.xm[self._flat12]
+        # The price searches call _demand dozens of times per solve, and the
+        # sweep calls value hundreds of times per point, with only lam or c
+        # changing, so the pieces independent of both are hoisted here.  A
+        # piece with the same bits as an array already held is that array
+        # (h2 = xm and 2 xm = caps for all but the tiniest caps), which
+        # keeps the hoist from growing the batch.
+        self._h2 = _reuse(self.caps - self.xm, self.xm)
+        self._2h1 = _reuse(2.0 * self.xm, self.caps)
+        self._2h2 = _reuse(2.0 * self._h2, self.caps)
+        self._dd1 = self.d1 - self.d0
+        self._dd2 = self.d2 - self.d1
+        # A flat first segment (d0 <= d1) is only ever read where
+        # lam > d1 >= d0, whose demand is 0: any positive divisor gives it.
+        self._den1 = np.where(self.d0 > self.d1, self.d0 - self.d1, 1.0)
 
     def value(self, c: np.ndarray) -> np.ndarray:
         c = np.clip(np.asarray(c, dtype=float), 0.0, self.caps)
-        h1 = self.xm
-        h2 = self.caps - self.xm
         t1 = np.minimum(c, self.xm)
         t2 = np.maximum(c - self.xm, 0.0)
-        seg1 = self.d0 * t1 + (self.d1 - self.d0) * t1 * t1 / (2.0 * h1)
-        seg2 = self.d1 * t2 + (self.d2 - self.d1) * t2 * t2 / (2.0 * h2)
+        seg1 = self.d0 * t1 + self._dd1 * t1 * t1 / self._2h1
+        seg2 = self.d1 * t2 + self._dd2 * t2 * t2 / self._2h2
         return seg1 + seg2
 
     def derivative(self, c: np.ndarray) -> np.ndarray:
         c = np.clip(np.asarray(c, dtype=float), 0.0, self.caps)
-        left = self.d0 + (self.d1 - self.d0) * c / self.xm
-        right = self.d1 + (self.d2 - self.d1) * (c - self.xm) / (self.caps - self.xm)
+        left = self.d0 + self._dd1 * c / self.xm
+        right = self.d1 + self._dd2 * (c - self.xm) / self._h2
         return np.where(c <= self.xm, left, right)
 
     def _demand(self, lam) -> np.ndarray:
-        """Closed-form demand; ``lam`` may be scalar or per-thread array.
+        """Closed-form demand in ``[0, caps]``; ``lam`` scalar or per-thread.
 
-        Hot path of every water-filling price-search step: written with
-        in-place updates on freshly allocated temporaries (the elementwise
-        arithmetic is the historical ``xm*(d0-lam)/(d0-d1)`` /
-        ``xm + h2*(d1-lam)/(d1-d2)`` formulas, reassociated only by
-        commutativity — results are bit-identical).
+        Hot path of every price-search step, so it is a dozen whole-array
+        passes with no fancy indexing.  Each segment is its historical
+        formula in its historical operation order, ``xm*(d0-lam)/(d0-d1)``
+        and ``xm + h2*(d1-lam)/(d1-d2)``, so every value is bit for bit the
+        same as before.  Prices past ``d0`` clamp the first segment's
+        numerator to ``+0.0``, giving an exact 0 with no ``-0.0`` and no
+        NaN; the first segment is taken where ``lam > d1``, ``caps`` where
+        ``lam <= d2``.  A flat second segment (``d1 <= d2``) has no valid
+        quotient, but it is only read where ``lam <= d1 <= d2``, which
+        saturates.
         """
         lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x1 = np.subtract(self.d0, lam)
+            np.maximum(x1, 0.0, out=x1)
             x1 *= self.xm
             x1 /= self._den1
-            x2 = np.subtract(self.d1, lam)
-            x2 *= self._h2
-            x2 /= self._den2
-            x2 += self.xm
-        # Flat segments divide by zero above; their selected values are the
-        # segment endpoints, patched in place of the historical np.where.
-        x1[self._flat01] = 0.0
-        x2[self._flat12] = self._xm_flat12
-        out = np.where(lam > self.d1, x1, x2)
-        out[np.greater(lam, self.d0)] = 0.0
-        saturated = np.less_equal(lam, self.d2)
-        out[saturated] = self.caps[saturated]
-        return np.clip(out, 0.0, self.caps, out=out)
+            # (lam - d1) / (d2 - d1) negates both operands of the historical
+            # (d1 - lam) / (d1 - d2), which is exact; a zero quotient may
+            # come out -0.0, and adding xm > 0 makes the sum the same.
+            out = np.subtract(lam, self.d1)
+            out *= self._h2
+            out /= self._dd2
+            out += self.xm
+        np.copyto(out, x1, where=np.greater(lam, self.d1))
+        np.copyto(out, self.caps, where=np.less_equal(lam, self.d2))
+        return np.minimum(out, self.caps, out=out)
 
     def inverse_derivative(self, lam: float) -> np.ndarray:
         return self._demand(float(lam))
@@ -327,7 +346,8 @@ class GenericBatch(UtilityBatch):
         return np.array([f.derivative(ci) for f, ci in zip(self._fns, c)], dtype=float)
 
     def inverse_derivative(self, lam: float) -> np.ndarray:
-        return np.array([f.inverse_derivative(lam) for f in self._fns], dtype=float)
+        out = np.array([f.inverse_derivative(lam) for f in self._fns], dtype=float)
+        return np.minimum(out, self.caps, out=out)
 
     def subset(self, idx) -> "GenericBatch":
         idx = np.asarray(idx)

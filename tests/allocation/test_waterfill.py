@@ -189,6 +189,21 @@ def test_waterfill_satisfies_kkt_property(fns, budget):
     assert_allocation_optimal(batch, res.allocations, budget, tol=1e-5)
 
 
+def test_price_at_a_demand_jump_converges():
+    # The linear thread's demand jumps from its cap to 0 at its slope, and
+    # the clearing price sits on that jump.  Regula falsi alone crawls there
+    # and ran out of steps far from the price, short-changing the power
+    # thread; the bisection fallback closes the bracket.
+    fns = [LinearUtility(17.0, 10.0), PowerUtility(1.0, 0.25, 10.0)]
+    budget = 0.25
+    res = water_fill(GenericBatch(fns), budget)
+    assert res.marginal_price == pytest.approx(17.0, rel=1e-9)
+    assert_allocation_optimal(GenericBatch(fns), res.allocations, budget, tol=1e-9)
+    rows = water_fill_batch(GenericBatch(fns * 2), 2, [budget, budget])
+    assert rows.allocations[1].tobytes() == res.allocations.tobytes()
+    assert rows.iterations.tolist() == [res.iterations] * 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(utility_lists(2, 6), st.floats(min_value=1.0, max_value=40.0))
 def test_value_of_budget_is_monotone(fns, budget):

@@ -6,23 +6,36 @@ below rescans the residual array with ``np.argmax`` each step.  Any
 divergence flags a heap bug — the two must agree *bit for bit* (same
 tie-breaking: max residual, then lowest server id), for every caller of
 the walk: :func:`algorithm2`, :func:`algorithm2_discrete` and the
-heterogeneous-capacity greedy.
+heterogeneous-capacity greedy.  The production walk settles zero-demand
+threads without touching the heap, so the walk is also driven directly
+with zeros (and ``-0.0``) anywhere in the order, and its heap work and
+deadline polling are pinned.
 """
+
+import heapq
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithm2 import algorithm2, thread_order, two_key_order
+from repro.core.algorithm2 import (
+    algorithm2,
+    max_residual_walk,
+    thread_order,
+    two_key_order,
+)
 from repro.core.discrete import algorithm2_discrete, linearize_discrete
 from repro.core.linearize import linearize
 from repro.core.problem import AAProblem
+from repro.engine import SolveContext, SolveTimeout
 from repro.extensions.heterogeneous import (
     HeterogeneousProblem,
     algorithm2_hetero,
     super_optimal_hetero,
 )
+from repro.observability import ALG2_HEAP_OPS
 from repro.utility.functions import LinearUtility, LogUtility, ZeroUtility
 from repro.workloads.generators import UniformDistribution, make_problem
 
@@ -112,6 +125,84 @@ def test_algorithm2_discrete_matches_naive_walk(problem, unit):
 )
 def test_hetero_greedy_matches_naive_walk(fns, caps):
     _check_hetero(HeterogeneousProblem(fns, capacities=caps))
+
+
+# -- the walk itself, zero demands anywhere ----------------------------------
+
+
+@st.composite
+def _walks(draw):
+    """``(order, demand, residuals)`` with many zero demands and tied residuals."""
+    cap = draw(st.sampled_from([1.0, 10.0]))
+    n = draw(st.integers(min_value=0, max_value=14))
+    demand = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 0.0, cap, 0.5 * cap])
+                | st.floats(min_value=0.0, max_value=1.5 * cap),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        dtype=float,
+    )
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    residuals = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, cap]) | st.floats(min_value=0.0, max_value=cap),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        dtype=float,
+    )
+    return order, demand, residuals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+def test_walk_matches_naive_walk_with_zero_demands(walk):
+    order, demand, residuals = walk
+    ctx = SolveContext()
+    servers, grants = max_residual_walk(order, demand, residuals, ctx)
+    want_servers, want_grants = _naive_walk(order, demand, residuals)
+    assert np.array_equal(servers, want_servers)
+    _assert_bit_identical(grants, want_grants)
+    assert ctx.counters[ALG2_HEAP_OPS] == 2 * demand.shape[0]
+
+
+def test_heapreplace_runs_once_per_positive_demand_thread(monkeypatch):
+    # Zero-demand threads (about half at the paper's sizes) never move a
+    # residual, so they must not cost a heap step: a deterministic work
+    # budget for the walk, with no timing in it.
+    problem = make_problem(UniformDistribution(), 2_500, 8.0, 1000.0, seed=5)
+    lin = linearize(problem)
+    calls = []
+    real = heapq.heapreplace
+
+    def spy(heap, item):
+        calls.append(item)
+        return real(heap, item)
+
+    monkeypatch.setattr(heapq, "heapreplace", spy)
+    ctx = SolveContext()
+    algorithm2(problem, lin, ctx=ctx)
+    positive = int(np.count_nonzero(lin.c_hat > 0))
+    assert 0 < positive < problem.n_threads
+    assert len(calls) == positive
+    assert ctx.counters[ALG2_HEAP_OPS] == 2 * problem.n_threads
+
+
+def test_walk_polls_the_deadline_at_the_first_positive_demand_thread():
+    problem = _edge_problems()["c_hat = 0 threads, residuals tied mid-walk"]
+    lin = linearize(problem)
+    assert lin.c_hat[thread_order(lin, problem.n_servers)[0]] > 0
+    ctx = SolveContext(budget_s=60.0)
+    ctx.deadline = time.monotonic() - 1.0  # already spent
+    with pytest.raises(SolveTimeout):
+        algorithm2(problem, lin, ctx=ctx)
+    assert ctx.counters[ALG2_HEAP_OPS] == 2  # raised at that thread's step
 
 
 # -- edge cases ---------------------------------------------------------------

@@ -73,6 +73,27 @@ def test_batch_matches_scalar_inverse_derivative(make, lam):
         assert batch_inv[i] == pytest.approx(f.inverse_derivative(lam), rel=1e-9, abs=1e-9)
 
 
+class _Overshooting(LinearUtility):
+    """A scalar utility whose demand overshoots its cap (a rounding slip)."""
+
+    def inverse_derivative(self, lam: float) -> float:
+        return self.cap * (1 + 1e-9)
+
+
+def _generic_batch():
+    return GenericBatch([_Overshooting(1.0, CAP), LogUtility(2.0, 1.0, CAP)])
+
+
+@pytest.mark.parametrize("make", BATCHES + [_generic_batch], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.2, 10.0])
+def test_demand_is_fresh_and_at_most_caps(make, lam):
+    # The price searches sum demands as returned, with no clip of their own.
+    batch = make()
+    for x in (batch.inverse_derivative(lam), batch.inverse_derivative_each(np.full(len(batch), lam))):
+        assert np.all(x <= batch.caps) and np.all(x >= 0.0)
+        assert not np.shares_memory(x, batch.caps)
+
+
 @pytest.mark.parametrize("make", BATCHES, ids=lambda f: f.__name__)
 def test_subset_preserves_values(make):
     batch = make()
