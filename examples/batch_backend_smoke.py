@@ -10,6 +10,9 @@ outside:
   throughput decision);
 * engine counters agree after removing the batch path's routing counters
   (``batch_trials`` / ``batch_fallbacks``);
+* the same holds at a power-law (fig2a) point with β = 15, whose randomly
+  assigned servers are uneven: the water-fill shrinks to the pools still
+  searching, and the random splits sort cut segments of many sizes;
 * the α-certificate holds on the batch path: every trial's reclaimed
   ALG2 utility is at least ``2(√2−1)`` times its super-optimal bound;
 * a pchip (``GenericBatch``) point falls back to the scalar loop under
@@ -29,6 +32,7 @@ import numpy as np
 from repro.core.problem import ALPHA
 from repro.core.solve import solve
 from repro.engine import LinearizationCache, SolveContext
+from repro.experiments.figures import FIGURES
 from repro.experiments.harness import run_point_arrays
 from repro.workloads.generators import UniformDistribution, make_problem
 
@@ -42,11 +46,12 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def main() -> None:
+def compare_backends(point: dict) -> tuple[list, np.ndarray]:
+    """Run ``point`` on both backends; fail unless utilities and counters agree."""
     ctx_s = SolveContext(cache=LinearizationCache())
-    names_s, utils_s = run_point_arrays(**POINT, ctx=ctx_s, backend="scalar")
+    names_s, utils_s = run_point_arrays(**point, ctx=ctx_s, backend="scalar")
     ctx_b = SolveContext(cache=LinearizationCache())
-    names_b, utils_b = run_point_arrays(**POINT, ctx=ctx_b, backend="batch")
+    names_b, utils_b = run_point_arrays(**point, ctx=ctx_b, backend="batch")
 
     if names_s != names_b:
         fail(f"contender sets diverged: {names_s} vs {names_b}")
@@ -60,9 +65,14 @@ def main() -> None:
     snap_b = {k: v for k, v in ctx_b.counters.snapshot().items() if k not in ROUTING}
     if snap_s != snap_b:
         fail(f"counters diverged: {snap_s} vs {snap_b}")
-    if ctx_b.counters.snapshot().get("batch_trials") != POINT["trials"]:
+    if ctx_b.counters.snapshot().get("batch_trials") != point["trials"]:
         fail("batch backend did not record one batch_trials per trial")
     print(f"per-trial-equivalent counters OK ({len(snap_b)} counters)")
+    return names_b, utils_b
+
+
+def main() -> None:
+    names_b, utils_b = compare_backends(POINT)
 
     so = utils_b[:, names_b.index("SO")]
     alg2 = utils_b[:, names_b.index("ALG2")]
@@ -84,6 +94,10 @@ def main() -> None:
     if not np.array_equal(utils_p, utils_ps):
         fail("pchip fallback diverged from forced-scalar run")
     print("pchip fallback OK (auto routed every trial to the scalar loop)")
+
+    dist, beta = FIGURES["fig2a"].factory(15)
+    compare_backends({**POINT, "dist": dist, "beta": beta})
+    print("power-law beta=15 point OK")
 
     problem = make_problem(UniformDistribution(), 6, 4.0, seed=11)
     a = solve(problem, algorithm="alg2")

@@ -33,7 +33,9 @@ then resolved by linearly interpolating between the bracketing allocations
 tolerance), so any split among them is optimal.  The search is written
 twice with the same arithmetic: scalar :func:`water_fill`, and the
 lock-step kernel behind every multi-pool entry, whose rows are therefore
-bit-identical to it.
+bit-identical to it.  A lock-step call takes as many passes as its
+slowest pool, so once few pools are still searching the kernel evaluates
+only theirs (its working set); every pool's result is unchanged.
 
 The paper's super-optimal allocation (Definition V.1) is this routine with
 ``budget = m * C``; because every ``f_i`` is nondecreasing the budget is
@@ -62,6 +64,15 @@ from repro.utility.batch import UtilityBatch, as_batch
 #: halves its bracket instead, so a [lam, 2 lam] bracket closes to 1e-12
 #: within 141 steps.
 _SECANT_STEPS = 100
+
+#: Threads the lock-step kernel must be able to drop before it shrinks its
+#: working set to the pools still searching.  A shrink gathers a sub-batch
+#: and its pool ids: about 20 us plus a few ns per thread kept, the price
+#: of a demand pass over about a thousand threads (quadspline batches,
+#: 2-core host).  On the sweep's fills shrinking saved nothing measurable
+#: at 512-1,024 threads and paid from about 2,048 on; churn's 136-thread
+#: placement fills stay below the floor.
+_SHRINK_FLOOR = 2048
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,47 @@ def water_fill(
     return AllocationResult(c, batch.total(c), lam_hi, iterations)
 
 
+class _Pools:
+    """The pools of a lock-step fill: their budgets and the threads they hold.
+
+    ``groups=None`` lays the ``k = len(budgets)`` pools out as equal
+    contiguous rows of the batch (pairwise row sums); otherwise thread
+    ``i`` is in pool ``groups[i]`` (``np.bincount`` sums, in thread order).
+    """
+
+    def __init__(self, batch: UtilityBatch, budgets: np.ndarray, groups: np.ndarray | None):
+        self.batch, self.budgets, self.groups = batch, budgets, groups
+        self.k = budgets.shape[0]
+        if groups is None:
+            self.n = len(batch) // self.k
+            self.sizes = np.full(self.k, self.n)
+        else:
+            self.sizes = np.bincount(groups, minlength=self.k)
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        return np.repeat(x, self.n) if self.groups is None else x[self.groups]
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        if self.groups is None:
+            return np.sum(x.reshape(self.k, self.n), axis=1)
+        return np.bincount(self.groups, weights=x, minlength=self.k)
+
+    def demand(self, lam: np.ndarray) -> np.ndarray:
+        return self.batch.inverse_derivative_each(self.spread(lam))  # at most caps
+
+    def excess(self, lam: np.ndarray) -> np.ndarray:
+        return self.sum(self.demand(lam)) - self.budgets
+
+    def subset(self, keep: np.ndarray) -> "_Pools":
+        """The pools where ``keep`` holds, their threads in index order: a
+        row keeps its threads contiguous and a group its threads' order, so
+        every pool's sums are the same bits as here."""
+        mine = self.spread(keep)
+        batch = self.batch.subset(np.flatnonzero(mine))
+        groups = None if self.groups is None else (np.cumsum(keep) - 1)[self.groups[mine]]
+        return _Pools(batch, self.budgets[keep], groups)
+
+
 def _fill(
     batch: UtilityBatch, budgets: np.ndarray, groups: np.ndarray | None,
     rel_tol: float, max_iter: int, ctx, *, start: np.ndarray | None = None,
@@ -247,6 +299,13 @@ def _fill(
     never accuracy.  Slack pools saturate, empty budgets get nothing;
     neither is searched.
 
+    Regula falsi runs on a working set.  Once the pools still searching
+    are at most a quarter of the pools it evaluates, and the others hold
+    more than ``_SHRINK_FLOOR`` threads, the kernel gathers the searching
+    pools' threads, budgets and search state, and evaluates only those
+    until it shrinks again or the search ends.  A pool's arithmetic and
+    sums are the same in any working set, so its result is too.
+
     Returns ``(alloc, lam, slack, d, b)``: grants, clearing prices (0 for
     pools not searched), the slack mask, and per-pool bracket and
     regula-falsi step counts; a searched pool costs ``d + b + 3`` demand
@@ -254,31 +313,13 @@ def _fill(
     """
     k = budgets.shape[0]
     caps = batch.caps
-    if groups is None:
-        n = len(batch) // k
-        def spread(x: np.ndarray) -> np.ndarray:
-            return np.repeat(x, n)
-        def pool_sum(x: np.ndarray) -> np.ndarray:
-            return np.sum(x.reshape(k, n), axis=1)
-    else:
-        pool_of = groups
-        def spread(x: np.ndarray) -> np.ndarray:
-            return x[pool_of]
-        def pool_sum(x: np.ndarray) -> np.ndarray:
-            return np.bincount(pool_of, weights=x, minlength=k)
-
-    def demand(lam: np.ndarray) -> np.ndarray:
-        return batch.inverse_derivative_each(spread(lam))  # at most caps
-
-    def excess(lam: np.ndarray) -> np.ndarray:
-        return pool_sum(demand(lam)) - budgets
-
-    cap_totals = pool_sum(caps)
+    pools = _Pools(batch, budgets, groups)
+    cap_totals = pools.sum(caps)
     slack = budgets >= cap_totals
     active = ~slack & (budgets > 0.0)
     d, b = np.zeros((2, k), dtype=np.int64)
     if not np.any(active):
-        return np.where(spread(slack), caps, 0.0), np.zeros(k), slack, d, b
+        return np.where(pools.spread(slack), caps, 0.0), np.zeros(k), slack, d, b
 
     # Bracket, as water_fill: double each pool's price while it is over
     # budget, halve it while under and [0, lam] is still wide.  The walks
@@ -288,7 +329,7 @@ def _fill(
         lam_hi = np.ones(k)
     else:
         lam_hi = np.where(np.isfinite(start) & (start > 0.0), start, 1.0)
-    f_hi = excess(lam_hi)
+    f_hi = pools.excess(lam_hi)
     up = active & (f_hi > 0.0)
     walk = up | (active & (f_hi < 0.0) & (lam_hi > rel_tol * np.maximum(lam_hi, 1.0)))
     while walk.any():
@@ -298,7 +339,7 @@ def _fill(
         d += walk
         if lam.max(where=walk, initial=0.0) > 1e300:
             raise RuntimeError("water-fill could not bracket a marginal price")
-        f = excess(lam)
+        f = pools.excess(lam)
         over = f > 0.0
         rise = walk & up  # lo takes the old hi, hi the doubled price
         cross = walk & ~up & over  # a halving walk found the over side
@@ -314,29 +355,44 @@ def _fill(
     # Regula falsi with the Anderson-Bjorck rescaling, as water_fill, on
     # arrays owned here (updated in place: every pass is mostly fixed numpy
     # overhead at churn's size).  Only the ends of pools still searching
-    # must stay put; the other pools' excess values are never read again.
+    # must stay put; the other pools' excess values are never read again,
+    # and a pool that has stopped never searches again, so the working set
+    # ``work`` can drop it.  ``ids`` maps the working set to its pools (None
+    # while it is all of them); lam_lo, lam_hi and b take its brackets and
+    # step counts back whenever it shrinks.
     lam_lo = np.where(active & (f_hi != 0.0), lam_lo, lam_hi)  # closed: no search
+    work, ids, lo, hi, bw = pools, None, lam_lo, lam_hi, b
     last = np.full(k, -1)  # the end each pool moved last (True: lo); -1: none yet
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(max_iter):
             if ctx is not None:
                 ctx.check_deadline()
-            tol = rel_tol * np.maximum(lam_hi, 1.0)
-            width = lam_hi - lam_lo
+            tol = rel_tol * np.maximum(hi, 1.0)
+            width = hi - lo
             todo = width > tol
-            if not todo.any():
+            live = np.count_nonzero(todo)
+            if not live:
                 break
+            if 4 * live <= work.k and np.sum(work.sizes, where=~todo) > _SHRINK_FLOOR:
+                if ids is not None:
+                    lam_lo[ids], lam_hi[ids], b[ids] = lo, hi, bw
+                ids = np.flatnonzero(todo) if ids is None else ids[todo]
+                work = work.subset(todo)
+                lo, hi, bw, f_lo, f_hi, last, tol, width = (
+                    x[todo] for x in (lo, hi, bw, f_lo, f_hi, last, tol, width)
+                )
+                todo = todo[todo]
             tol *= 0.5
             lam = f_lo - f_hi
             np.divide(f_lo, lam, out=lam)
             lam *= width
-            lam += lam_lo
-            np.fmin(lam, lam_hi - tol, out=lam)
-            np.fmax(lam, lam_lo + tol, out=lam)
+            lam += lo
+            np.fmin(lam, hi - tol, out=lam)
+            np.fmax(lam, lo + tol, out=lam)
             if step >= _SECANT_STEPS:  # no pool has taken more steps than passes
-                np.copyto(lam, lam_lo + 0.5 * width, where=b >= _SECANT_STEPS)
-            b += todo
-            f = excess(lam)
+                np.copyto(lam, lo + 0.5 * width, where=bw >= _SECANT_STEPS)
+            bw += todo
+            f = work.excess(lam)
             over = f > 0.0
             scale = np.where(over, f_lo, f_hi)
             np.divide(f, scale, out=scale)
@@ -348,22 +404,24 @@ def _fill(
             f_hi *= scale
             np.copyto(f_lo, f, where=over)
             np.copyto(f_hi, f, where=~over)
-            np.copyto(lam_lo, lam, where=todo & (f >= 0.0))
-            np.copyto(lam_hi, lam, where=todo & (f <= 0.0))
+            np.copyto(lo, lam, where=todo & (f >= 0.0))
+            np.copyto(hi, lam, where=todo & (f <= 0.0))
+    if ids is not None:
+        lam_lo[ids], lam_hi[ids], b[ids] = lo, hi, bw
 
     # Interpolate between the bracketing allocations, as water_fill does.
-    c_hi = demand(lam_lo)  # pool total >= budget
-    c_lo = demand(lam_hi)  # pool total <= budget
-    s_hi, s_lo = pool_sum(c_hi), pool_sum(c_lo)
+    c_hi = pools.demand(lam_lo)  # pool total >= budget
+    c_lo = pools.demand(lam_hi)  # pool total <= budget
+    s_hi, s_lo = pools.sum(c_hi), pools.sum(c_lo)
     moves = s_hi > s_lo
     t = np.where(moves, (budgets - s_lo) / np.where(moves, s_hi - s_lo, 1.0), 0.0)
     # c_lo + t * (c_hi - c_lo) in place, bit for bit; extra thread-sized
     # arrays (temporaries here, or inactive pools' grants held through the
     # loops) measurably slowed the sweep's fills.
     c_hi -= c_lo
-    c_hi *= spread(t)
+    c_hi *= pools.spread(t)
     c_hi += c_lo
-    alloc = np.where(spread(active), c_hi, np.where(spread(slack), caps, 0.0))
+    alloc = np.where(pools.spread(active), c_hi, np.where(pools.spread(slack), caps, 0.0))
     return alloc, np.where(active, lam_hi, 0.0), slack, d, b
 
 

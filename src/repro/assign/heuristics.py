@@ -71,6 +71,36 @@ def _spacings_gaps(
     return right - left
 
 
+def _sorted_cuts(
+    draws: np.ndarray, sizes: np.ndarray, ctx: "SolveContext | None" = None
+) -> np.ndarray:
+    """``draws`` cut into consecutive segments of ``sizes``, each sorted.
+
+    One row-wise ``np.sort`` per distinct segment size over a
+    ``(segments, size)`` view: the same values as sorting every segment on
+    its own, since a segment's sort does not depend on the others.
+    """
+    distinct = np.unique(sizes[sizes > 0])
+    if distinct.size == 1:  # every segment the same size (round-robin)
+        return np.sort(draws.reshape(-1, int(distinct[0])), axis=1).reshape(-1)
+    cuts = np.empty_like(draws)
+    starts = np.cumsum(sizes) - sizes
+    for size in distinct:
+        if ctx is not None:
+            ctx.check_deadline()
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        cuts[rows] = np.sort(draws[rows], axis=1)
+    return cuts
+
+
+def _server_order(servers: np.ndarray, m: int) -> np.ndarray:
+    """``np.argsort(servers, axis=-1, kind="stable")``; server ids narrower
+    than 16 bits sort as such, which numpy radix-sorts."""
+    if m <= 1 << 16:
+        servers = servers.astype(np.uint8 if m <= 1 << 8 else np.uint16)
+    return np.argsort(servers, axis=-1, kind="stable")
+
+
 def random_split(
     problem: AAProblem,
     servers: np.ndarray,
@@ -83,7 +113,7 @@ def random_split(
     flat Dirichlet, so every split of the full capacity is equally likely.
     Vectorized over servers: one draw call for all cut points (PCG64
     streams split exactly, so the draws match the historical per-server
-    calls bit-for-bit) and one grouped lexsort instead of a Python loop.
+    calls bit-for-bit), then each server's cuts sort in place.
     """
     n = problem.n_threads
     m = problem.n_servers
@@ -92,11 +122,8 @@ def random_split(
     counts = np.bincount(servers, minlength=m)
     sizes = np.where(counts >= 2, counts - 1, 0)
     total = int(np.sum(sizes))
-    draws = rng.uniform(0.0, 1.0, size=total)
-    seg = np.repeat(np.arange(m), sizes)
-    # Per-segment stable sort == per-server np.sort of its own draws.
-    cuts = draws[np.lexsort((draws, seg))]
-    order = np.argsort(servers, kind="stable")
+    cuts = _sorted_cuts(rng.uniform(0.0, 1.0, size=total), sizes, ctx)
+    order = _server_order(servers, m)
     svr = servers[order]
     pos = np.arange(n) - (np.cumsum(counts) - counts)[svr]
     gaps = _spacings_gaps(cuts, pos, counts[svr], (np.cumsum(sizes) - sizes)[svr])
@@ -196,7 +223,8 @@ def random_split_batch(
 
     Each trial draws its own cut points (one ``uniform`` call per trial —
     the exact call the scalar :func:`random_split` makes), then all
-    trials' segments sort and difference together.
+    trials' segments sort and difference together, with the scalar's
+    sorts, so every trial is bit for bit its scalar split.
     """
     T, n = bp.n_trials, bp.n_threads
     groups, k_total = _trial_groups(bp, servers)
@@ -210,14 +238,15 @@ def random_split_batch(
             ctx.check_deadline()
         draw_rows.append(as_generator(rng).uniform(0.0, 1.0, size=int(per_trial[t])))
     draws = np.concatenate(draw_rows) if draw_rows else np.zeros(0)
-    seg = np.repeat(np.arange(k_total), sizes)
-    cuts = draws[np.lexsort((draws, seg))]
-    order = np.argsort(groups, kind="stable")  # trial-major, then server
+    cuts = _sorted_cuts(draws, sizes, ctx)
+    # Trial-major, then server: each row's stable order, offset to its row.
+    order = (_server_order(servers, int(bp.n_servers.max()))
+             + n * np.arange(T)[:, None]).reshape(-1)
     grp = groups[order]
     pos = np.arange(T * n) - (np.cumsum(counts) - counts)[grp]
     gaps = _spacings_gaps(cuts, pos, counts[grp], (np.cumsum(sizes) - sizes)[grp])
     alloc = np.empty(T * n)
-    alloc[order] = gaps * np.repeat(bp.capacity, n)[order]
+    alloc[order] = gaps * np.repeat(bp.capacity, n)  # order stays in its trial
     alloc = np.minimum(alloc, bp.utilities.caps)
     return alloc.reshape(T, n)
 

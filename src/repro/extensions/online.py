@@ -301,7 +301,8 @@ class OnlineScheduler:
             raise ValueError("utility cap exceeds server capacity")
         self._settle()
         m, n = self.n_servers, len(self._ids)
-        copies = pack_utilities([utility] * m)
+        # m copies as rows of one packed thread: the utility is validated once.
+        copies = pack_utilities([utility]).subset(np.zeros(m, dtype=np.int64))
         batch = concat_batches([self._packed(), copies]) if n else copies
         fill = water_fill_grouped(
             batch,

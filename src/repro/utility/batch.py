@@ -196,8 +196,27 @@ class QuadSplineBatch(UtilityBatch):
     def inverse_derivative_each(self, lam: np.ndarray) -> np.ndarray:
         return self._demand(lam)
 
+    #: Every per-thread array a batch holds, and the arrays the hoisted
+    #: pieces may share (``_h2 is xm`` and so on, see ``_reuse``).
+    _ARRAYS = ("v", "w", "caps", "xm", "d0", "d1", "d2", "_dd1", "_dd2", "_den1")
+    _SHARED = {"_h2": "xm", "_2h1": "caps", "_2h2": "caps"}
+
+    @classmethod
+    def _carry(cls, sources: Sequence["QuadSplineBatch"], pick) -> "QuadSplineBatch":
+        """The batch whose arrays are ``pick(name)``, elementwise pieces of
+        valid ``sources``: nothing is validated or recomputed.  A hoisted
+        piece every source shares with its base array is the result's base
+        array too, so the result holds no more arrays than a fresh batch."""
+        out = cls.__new__(cls)
+        for name in cls._ARRAYS:
+            setattr(out, name, pick(name))
+        for name, base in cls._SHARED.items():
+            shared = all(getattr(b, name) is getattr(b, base) for b in sources)
+            setattr(out, name, getattr(out, base) if shared else pick(name))
+        return out
+
     def subset(self, idx) -> "QuadSplineBatch":
-        return QuadSplineBatch(self.v[idx], self.w[idx], self.caps[idx])
+        return self._carry([self], lambda name: getattr(self, name)[idx])
 
     def functions(self) -> list[ConcaveQuadSpline]:
         return [
@@ -398,7 +417,8 @@ def concat_batches(batches: Sequence[UtilityBatch]) -> UtilityBatch:
     bit-for-bit with evaluating each member batch on its own slice.
 
     Same-family array batches concatenate their parameter arrays
-    (:class:`QuadSplineBatch`, :class:`PowerBatch`; and
+    (:class:`QuadSplineBatch`, with its hoisted arrays, unvalidated;
+    :class:`PowerBatch`; and
     :class:`SharedGridPWLBatch` when every member shares one knot grid).
     Anything else — mixed families, :class:`GenericBatch` adapters — falls
     back to a :class:`GenericBatch` over the concatenated scalar functions,
@@ -412,10 +432,8 @@ def concat_batches(batches: Sequence[UtilityBatch]) -> UtilityBatch:
     first_type = type(batches[0])
     if all(type(b) is first_type for b in batches):
         if first_type is QuadSplineBatch:
-            return QuadSplineBatch(
-                np.concatenate([b.v for b in batches]),
-                np.concatenate([b.w for b in batches]),
-                np.concatenate([b.caps for b in batches]),
+            return QuadSplineBatch._carry(
+                batches, lambda name: np.concatenate([getattr(b, name) for b in batches])
             )
         if first_type is PowerBatch:
             return PowerBatch(

@@ -5,8 +5,9 @@ demand evaluations (one pass over the pool's threads each), and the
 geometric bracket plus Anderson–Björck regula falsi must keep those
 counts well under the ~40 that bisecting to ``rel_tol = 1e-12`` took.
 The instances mirror the benchmark's workloads: the large-n super-optimal
-fill and Algorithm 2's reclaim (n = 10⁵, β = 8), and the online
-scheduler's warm-started fills at churn's size (m = 8, 128 residents).
+fill and Algorithm 2's reclaim (n = 10⁵, β = 8), the online
+scheduler's warm-started fills at churn's size (m = 8, 128 residents),
+and the sweep's trial-batched reclaim.
 """
 
 import numpy as np
@@ -18,8 +19,11 @@ from repro.allocation.prices import discover_prices_batch, pack_demands_batch
 from repro.allocation.waterfill import water_fill
 from repro.core.batch import BatchAssignment, BatchProblem, reclaim_batch
 from repro.engine import SolveContext
+from repro.experiments import harness
+from repro.experiments.figures import FIGURES
 from repro.extensions.online import OnlineScheduler
 from repro.observability import BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS
+from repro.utility.batch import QuadSplineBatch
 from repro.workloads import UniformDistribution, make_problem, paper_utilities
 
 CAP = 1000.0
@@ -92,3 +96,34 @@ def test_churn_fills_average_at_most_6_passes(monkeypatch):
         s.total_utility()  # settles the departure's server
     assert len(passes) == 400
     assert np.mean(passes) <= 6.0
+
+
+def test_sweep_reclaim_evaluates_at_most_25_times_per_thread(monkeypatch):
+    """The sweep's reclaim at fig1a's β = 15 point (seeded as the benchmark
+    seeds it; 200 trials × 8 servers) runs its 1,600 pools in lock-step.
+    Most pools settle in about 14 passes, a few take 40-odd.  Passes over
+    only the pools still searching keep the demand evaluations per thread
+    near 20; evaluating every pool on every pass cost 48."""
+    trials, beta = 200, 15
+    evaluated, counting = [], []
+    demand = QuadSplineBatch.inverse_derivative_each
+
+    def counted(self, lam):
+        if counting:
+            evaluated.append(len(self))
+        return demand(self, lam)
+
+    def reclaim(*args, **kwargs):
+        counting.append(True)
+        try:
+            return reclaim_batch(*args, **kwargs)
+        finally:
+            counting.clear()
+
+    monkeypatch.setattr(QuadSplineBatch, "inverse_derivative_each", counted)
+    monkeypatch.setattr(harness, "reclaim_batch", reclaim)
+    dist, _ = FIGURES["fig1a"].factory(beta)
+    harness.run_point_arrays(dist, 8, float(beta), CAP, trials, seed=[1, 0, beta],
+                             backend="batch")
+    assert evaluated
+    assert sum(evaluated) / (trials * 8 * beta) <= 25

@@ -9,13 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.allocation import waterfill
 from repro.allocation.grouped import water_fill_grouped
-from repro.allocation.waterfill import kkt_violation, water_fill, water_fill_batch
+from repro.allocation.waterfill import (
+    _SECANT_STEPS,
+    _SHRINK_FLOOR,
+    _fill,
+    kkt_violation,
+    water_fill,
+    water_fill_batch,
+)
+from repro.engine import SolveContext, SolveTimeout
 from repro.utility.batch import (
     GenericBatch,
     PowerBatch,
     QuadSplineBatch,
     SharedGridPWLBatch,
+    UtilityBatch,
     as_batch,
 )
 from repro.utility.functions import (
@@ -314,3 +324,226 @@ def test_price_doubling_bracket_lives_only_in_waterfill():
         "allocation/galil.py": 1,
         "allocation/waterfill.py": 2,
     }
+
+
+# -- the lock-step kernel's working set ---------------------------------------
+#
+# The kernel as it was before regula falsi shrank to the pools still
+# searching, verbatim but for its name: every pass evaluates every pool.
+# The working set must reproduce it bit for bit.
+
+def _full_pass_fill(
+    batch: UtilityBatch, budgets: np.ndarray, groups: np.ndarray | None,
+    rel_tol: float, max_iter: int, ctx, *, start: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Water-fill ``k = len(budgets)`` pools in lock-step: the one bracket,
+    regula falsi and interpolation behind every multi-pool entry point.
+
+    ``groups=None`` lays the pools out as ``k`` equal contiguous rows
+    (pairwise row sums, so each row is bit-identical to :func:`water_fill`);
+    otherwise thread ``i`` is in pool ``groups[i]`` (``np.bincount`` sums).
+    Each pool's search takes exactly the steps :func:`water_fill`'s would,
+    from ``start[p]`` instead of 1 when given (a start that is not a
+    positive finite price falls back to 1).  The start only seeds the
+    bracket, which is verified by evaluation, so a poor one costs passes,
+    never accuracy.  Slack pools saturate, empty budgets get nothing;
+    neither is searched.
+
+    Returns ``(alloc, lam, slack, d, b)``: grants, clearing prices (0 for
+    pools not searched), the slack mask, and per-pool bracket and
+    regula-falsi step counts; a searched pool costs ``d + b + 3`` demand
+    evaluations.
+    """
+    k = budgets.shape[0]
+    caps = batch.caps
+    if groups is None:
+        n = len(batch) // k
+        def spread(x: np.ndarray) -> np.ndarray:
+            return np.repeat(x, n)
+        def pool_sum(x: np.ndarray) -> np.ndarray:
+            return np.sum(x.reshape(k, n), axis=1)
+    else:
+        pool_of = groups
+        def spread(x: np.ndarray) -> np.ndarray:
+            return x[pool_of]
+        def pool_sum(x: np.ndarray) -> np.ndarray:
+            return np.bincount(pool_of, weights=x, minlength=k)
+
+    def demand(lam: np.ndarray) -> np.ndarray:
+        return batch.inverse_derivative_each(spread(lam))  # at most caps
+
+    def excess(lam: np.ndarray) -> np.ndarray:
+        return pool_sum(demand(lam)) - budgets
+
+    cap_totals = pool_sum(caps)
+    slack = budgets >= cap_totals
+    active = ~slack & (budgets > 0.0)
+    d, b = np.zeros((2, k), dtype=np.int64)
+    if not np.any(active):
+        return np.where(spread(slack), caps, 0.0), np.zeros(k), slack, d, b
+
+    # Bracket, as water_fill: double each pool's price while it is over
+    # budget, halve it while under and [0, lam] is still wide.  The walks
+    # can take hundreds of passes, so they poll the deadline.
+    lam_lo, f_lo = np.zeros(k), cap_totals - budgets  # demand(0) is the cap total
+    if start is None:
+        lam_hi = np.ones(k)
+    else:
+        lam_hi = np.where(np.isfinite(start) & (start > 0.0), start, 1.0)
+    f_hi = excess(lam_hi)
+    up = active & (f_hi > 0.0)
+    walk = up | (active & (f_hi < 0.0) & (lam_hi > rel_tol * np.maximum(lam_hi, 1.0)))
+    while walk.any():
+        if ctx is not None:
+            ctx.check_deadline()
+        lam = np.where(up, lam_hi * 2.0, 0.5 * lam_hi)
+        d += walk
+        if lam.max(where=walk, initial=0.0) > 1e300:
+            raise RuntimeError("water-fill could not bracket a marginal price")
+        f = excess(lam)
+        over = f > 0.0
+        rise = walk & up  # lo takes the old hi, hi the doubled price
+        cross = walk & ~up & over  # a halving walk found the over side
+        np.copyto(lam_lo, lam_hi, where=rise)
+        np.copyto(lam_lo, lam, where=cross)
+        np.copyto(f_lo, f_hi, where=rise)
+        np.copyto(f_lo, f, where=cross)
+        walk &= ~cross
+        np.copyto(lam_hi, lam, where=walk)
+        np.copyto(f_hi, f, where=walk)
+        walk &= np.where(up, over, (f < 0.0) & (lam > rel_tol * np.maximum(lam, 1.0)))
+
+    # Regula falsi with the Anderson-Bjorck rescaling, as water_fill, on
+    # arrays owned here (updated in place: every pass is mostly fixed numpy
+    # overhead at churn's size).  Only the ends of pools still searching
+    # must stay put; the other pools' excess values are never read again.
+    lam_lo = np.where(active & (f_hi != 0.0), lam_lo, lam_hi)  # closed: no search
+    last = np.full(k, -1)  # the end each pool moved last (True: lo); -1: none yet
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(max_iter):
+            if ctx is not None:
+                ctx.check_deadline()
+            tol = rel_tol * np.maximum(lam_hi, 1.0)
+            width = lam_hi - lam_lo
+            todo = width > tol
+            if not todo.any():
+                break
+            tol *= 0.5
+            lam = f_lo - f_hi
+            np.divide(f_lo, lam, out=lam)
+            lam *= width
+            lam += lam_lo
+            np.fmin(lam, lam_hi - tol, out=lam)
+            np.fmax(lam, lam_lo + tol, out=lam)
+            if step >= _SECANT_STEPS:  # no pool has taken more steps than passes
+                np.copyto(lam, lam_lo + 0.5 * width, where=b >= _SECANT_STEPS)
+            b += todo
+            f = excess(lam)
+            over = f > 0.0
+            scale = np.where(over, f_lo, f_hi)
+            np.divide(f, scale, out=scale)
+            np.subtract(1.0, scale, out=scale)
+            scale[scale <= 0.0] = 0.5
+            scale[over != last] = 1.0
+            last = over
+            f_lo *= scale
+            f_hi *= scale
+            np.copyto(f_lo, f, where=over)
+            np.copyto(f_hi, f, where=~over)
+            np.copyto(lam_lo, lam, where=todo & (f >= 0.0))
+            np.copyto(lam_hi, lam, where=todo & (f <= 0.0))
+
+    # Interpolate between the bracketing allocations, as water_fill does.
+    c_hi = demand(lam_lo)  # pool total >= budget
+    c_lo = demand(lam_hi)  # pool total <= budget
+    s_hi, s_lo = pool_sum(c_hi), pool_sum(c_lo)
+    moves = s_hi > s_lo
+    t = np.where(moves, (budgets - s_lo) / np.where(moves, s_hi - s_lo, 1.0), 0.0)
+    # c_lo + t * (c_hi - c_lo) in place, bit for bit; extra thread-sized
+    # arrays (temporaries here, or inactive pools' grants held through the
+    # loops) measurably slowed the sweep's fills.
+    c_hi -= c_lo
+    c_hi *= spread(t)
+    c_hi += c_lo
+    alloc = np.where(spread(active), c_hi, np.where(spread(slack), caps, 0.0))
+    return alloc, np.where(active, lam_hi, 0.0), slack, d, b
+
+
+def _mixed_pools(n_easy, family, seed=0):
+    """``n_easy`` two-thread pools, a few slack pools (budget above the cap
+    total) and empty budgets among them, and for the power family one pool
+    whose price sits on a linear thread's demand jump, the pool of
+    :func:`test_price_at_a_demand_jump_converges`, which bisects past
+    ``_SECANT_STEPS``.  Returns the batch in row layout and the budgets."""
+    rng = np.random.default_rng(seed)
+    budgets = rng.uniform(0.5, 15.0, n_easy)
+    budgets[rng.choice(n_easy, n_easy // 10, replace=False)] = 2 * CAP + 1.0
+    budgets[rng.choice(n_easy, n_easy // 10, replace=False)] = 0.0
+    if family == "quadspline":
+        v = rng.uniform(0.5, 3.0, 2 * n_easy)
+        return QuadSplineBatch(v, v * rng.uniform(0.0, 1.0, 2 * n_easy), CAP), budgets
+    coeff = rng.uniform(0.5, 3.0, (n_easy, 2))
+    beta = rng.uniform(0.2, 0.9, (n_easy, 2))
+    jump = rng.integers(n_easy)
+    coeff[jump], beta[jump], budgets[jump] = (17.0, 1.0), (1.0, 0.25), 0.25
+    return PowerBatch(coeff.ravel(), beta.ravel(), CAP), budgets
+
+
+@pytest.mark.parametrize("family", ["power", "quadspline"])
+@pytest.mark.parametrize("layout", ["rows", "groups"])
+@pytest.mark.parametrize("size", ["above_floor", "below_floor"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "start"])
+def test_working_set_matches_full_passes(family, layout, size, warm, monkeypatch):
+    """Shrinking to the pools still searching changes no bit of the grants,
+    prices, slack mask or step counts, in either layout: a row keeps its
+    threads contiguous and a group keeps their order, so every pool sums
+    the same values in the same order.  Below the size floor the kernel
+    never shrinks; above it, it shrinks more than once."""
+    n_easy = 8 * _SHRINK_FLOOR if size == "above_floor" else 100
+    batch, budgets = _mixed_pools(n_easy, family)
+    k = budgets.shape[0]
+    groups = None
+    if layout == "groups":  # interleave the pools' threads
+        perm = np.random.default_rng(1).permutation(2 * k)
+        batch, groups = batch.subset(perm), np.repeat(np.arange(k), 2)[perm]
+    start = None
+    if warm:
+        start = np.random.default_rng(2).uniform(1e-3, 3.0, k)
+        start[:3] = (0.0, np.inf, np.nan)  # fall back to 1
+    shrinks = []
+    subset = waterfill._Pools.subset
+
+    def counted(self, keep):
+        shrinks.append(keep.size)
+        return subset(self, keep)
+
+    monkeypatch.setattr(waterfill._Pools, "subset", counted)
+    got = _fill(batch, budgets, groups, 1e-12, 200, None, start=start)
+    want = _full_pass_fill(batch, budgets, groups, 1e-12, 200, None, start=start)
+    for name, a, b in zip(("alloc", "lam", "slack", "d", "b"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if family == "power":
+        assert want[4].max() > _SECANT_STEPS  # the jump pool bisected
+    assert len(shrinks) >= 2 if size == "above_floor" else not shrinks
+
+
+@pytest.mark.parametrize("entry", ["water_fill_batch", "water_fill_grouped"])
+def test_working_set_loop_honors_deadline(entry, monkeypatch):
+    """A deadline that expires once the kernel has shrunk still raises from
+    inside the loop, in the row layout and the group layout."""
+    batch, budgets = _mixed_pools(2 * _SHRINK_FLOOR, "power")
+    k = budgets.shape[0]
+    ctx = SolveContext(budget_s=60.0)
+    subset = waterfill._Pools.subset
+
+    def expire(self, keep):
+        ctx.deadline = 0.0  # long past
+        return subset(self, keep)
+
+    monkeypatch.setattr(waterfill._Pools, "subset", expire)
+    with pytest.raises(SolveTimeout):
+        if entry == "water_fill_batch":
+            water_fill_batch(batch, k, budgets, ctx=ctx)
+        else:
+            water_fill_grouped(batch, np.repeat(np.arange(k), 2), budgets, ctx=ctx)
+    assert ctx.deadline == 0.0

@@ -11,6 +11,7 @@ from repro.utility.batch import (
     QuadSplineBatch,
     SharedGridPWLBatch,
     as_batch,
+    concat_batches,
     pack_utilities,
 )
 from repro.utility.functions import LinearUtility, LogUtility
@@ -201,3 +202,61 @@ def test_pack_utilities_packs_paper_quadsplines_only():
         assert isinstance(mixed, GenericBatch)
         assert mixed.functions()[-1] is odd
     assert isinstance(pack_utilities([]), GenericBatch)
+
+
+def _arrays(batch):
+    return {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
+
+
+def _assert_same_arrays(got, fresh):
+    assert _arrays(got).keys() == _arrays(fresh).keys()
+    for name, arr in _arrays(got).items():
+        ref = getattr(fresh, name)
+        assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), name
+
+
+_SHARES = (("_h2", "xm"), ("_2h1", "caps"), ("_2h2", "caps"))
+
+
+def _shares(batch):
+    return [getattr(batch, name) is getattr(batch, base) for name, base in _SHARES]
+
+
+def _quad_with_caps(caps, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, 5.0, len(caps))
+    w = v * rng.uniform(0.0, 1.0, len(caps))
+    tiny = caps < 1e-300  # keep v / xm finite on a subnormal cap
+    v[tiny], w[tiny] = 1e-310, 5e-311
+    return QuadSplineBatch(v, w, caps)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["paper_caps", "subnormal_cap"])
+def test_quadspline_subset_and_concat_carry_every_array(tiny, monkeypatch):
+    """Subsets and concatenations slice the hoisted arrays instead of
+    re-validating: every array is the bits a fresh batch over the same rows
+    computes, and a hoisted piece the sources share with ``xm`` or ``caps``
+    stays shared.  A subnormal cap's halves do not double back to it, so
+    such a batch shares nothing."""
+    caps = np.full(12, 1000.0)
+    if tiny:
+        caps[3] = 1.5e-323  # three ulps: half of it rounds to two
+    src = _quad_with_caps(caps, 1)
+    other = _quad_with_caps(np.full(5, 250.0), 2)
+    assert _shares(src) == [not tiny] * 3 and _shares(other) == [True] * 3
+    idx = np.array([3, 0, 3, 7, 11])
+    fresh_sub = QuadSplineBatch(src.v[idx], src.w[idx], src.caps[idx])
+    fresh_cat = QuadSplineBatch(
+        *(np.concatenate([getattr(b, k) for b in (src, other)]) for k in ("v", "w", "caps"))
+    )
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("carried batches skip the validating constructor")
+
+    monkeypatch.setattr(QuadSplineBatch, "__init__", no_validation)
+    sub = src.subset(idx)
+    cat = concat_batches([src, other])
+    _assert_same_arrays(sub, fresh_sub)
+    _assert_same_arrays(cat, fresh_cat)
+    assert _shares(sub) == _shares(src) == _shares(fresh_sub)
+    assert _shares(cat) == _shares(fresh_cat) == [not tiny] * 3
