@@ -101,7 +101,7 @@ def test_per_server_loop_reference(benchmark):
 def _scaling_point(n: int) -> dict:
     """Head-to-head alg2 vs price_discovery on one n = 8m uniform instance."""
     from repro.engine import SolveContext, run_solver
-    from repro.observability import PRICE_UPDATE_ITERATIONS
+    from repro.observability import BISECTION_ITERATIONS
 
     m = n // 8
     problem = make_problem(
@@ -136,7 +136,8 @@ def _scaling_point(n: int) -> dict:
             "utility": price_utility,
             "ratio": price_utility / bound,
             "s": price_s,
-            "iterations": int(ctxp.counters[PRICE_UPDATE_ITERATIONS]),
+            # Price-search steps of the super-optimal fill that finds λ*.
+            "iterations": int(ctxp.counters[BISECTION_ITERATIONS]),
         },
         "speedup": alg2_s / price_s,
         "utility_vs_alg2": price_utility / alg2_utility,
@@ -148,8 +149,9 @@ def test_price_discovery_scaling(benchmark):
 
     Full mode sweeps n up to 10⁶ and gates the n = 10⁵ point on the
     target (≥ 3× wall-clock here to absorb CI noise — the committed
-    BENCH_scaling.json records the measured ≥ 5× — within 1% of alg2's
-    utility); quick mode stops at 10⁴ and only gates parity.
+    BENCH_scaling.json records the measured ratio — within 1% of alg2's
+    utility); quick mode stops at 10⁴ and only gates parity.  Price
+    discovery's time includes its linearization; alg2 is handed one.
     """
     points = benchmark.pedantic(
         lambda: [_scaling_point(n) for n in SCALING_SIZES], rounds=1, iterations=1

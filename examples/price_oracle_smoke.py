@@ -12,7 +12,7 @@ Verifies the price-discovery solver's contract from the outside:
   **same bits** and the same per-trial-equivalent counter totals;
 * the certificate ratio against the super-optimal bound F̂ never
   exceeds 1;
-* a deadline abandons the iteration with ``SolveTimeout``.
+* a deadline abandons the solve with ``SolveTimeout``.
 
 Exits non-zero on any violated invariant.
 
@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from repro.allocation import kkt_violation, price_discovery_batch_kernel
-from repro.core.batch import BatchProblem
+from repro.core.batch import BatchProblem, linearize_batch
 from repro.core.solve import solve
 from repro.engine import SolveContext, SolveTimeout, run_solver
 from repro.workloads.generators import UniformDistribution, make_problem
@@ -74,7 +74,8 @@ def main() -> None:
         for t in range(4)
     ]
     ctx_b = SolveContext()
-    batch = price_discovery_batch_kernel(BatchProblem.from_problems(problems), ctx_b)
+    bp = BatchProblem.from_problems(problems)
+    batch = price_discovery_batch_kernel(bp, linearize_batch(bp, ctx_b), ctx_b)
     summed: dict = {}
     for t, p in enumerate(problems):
         ctx_s = SolveContext()
@@ -98,7 +99,7 @@ def main() -> None:
     try:
         run_solver("price_discovery", big, ctx=SolveContext(budget_s=1e-9))
     except SolveTimeout:
-        print("ok deadline: SolveTimeout raised mid-iteration")
+        print("ok deadline: SolveTimeout raised mid-solve")
     else:
         fail("deadline ignored: expected SolveTimeout")
 

@@ -11,10 +11,6 @@ from repro.allocation.mckp import (
     utilities_to_classes,
 )
 from repro.allocation.prices import (
-    BatchPriceResult,
-    PriceResult,
-    discover_price,
-    discover_prices_batch,
     pack_demands_batch,
     price_discovery,
     price_discovery_batch_kernel,
@@ -23,15 +19,11 @@ from repro.allocation.waterfill import AllocationResult, kkt_violation, water_fi
 
 __all__ = [
     "AllocationResult",
-    "BatchPriceResult",
     "DiscreteAllocationResult",
     "GroupedAllocationResult",
-    "PriceResult",
     "water_fill_grouped",
     "MCKPItem",
     "MCKPSolution",
-    "discover_price",
-    "discover_prices_batch",
     "fox_greedy",
     "galil_discrete",
     "kkt_violation",

@@ -154,15 +154,16 @@ class BatchProblem:
 class BatchLinearization:
     """Per-trial super-optimal allocations and Eq. 1 linearizations.
 
-    The three arrays are the ``(trials, n)`` stacks of the scalar
-    :class:`~repro.core.linearize.Linearization` fields; row ``t`` is
-    bit-identical to ``linearize(bp.problem(t))``.
+    Each field stacks the scalar :class:`~repro.core.linearize.Linearization`
+    field of every trial: ``(trials, n)`` arrays, ``(trials,)`` scalars.
+    Row ``t`` is bit-identical to ``linearize(bp.problem(t))``.
     """
 
     c_hat: np.ndarray
     top: np.ndarray
     slope: np.ndarray
     super_optimal_utility: np.ndarray
+    price: np.ndarray
 
     @property
     def n_trials(self) -> int:
@@ -175,6 +176,7 @@ class BatchLinearization:
             top=self.top[t],
             slope=self.slope[t],
             super_optimal_utility=float(self.super_optimal_utility[t]),
+            price=float(self.price[t]),
         )
 
     @classmethod
@@ -185,6 +187,7 @@ class BatchLinearization:
             top=lin.top.reshape(1, -1),
             slope=lin.slope.reshape(1, -1),
             super_optimal_utility=np.array([lin.super_optimal_utility]),
+            price=np.array([lin.price]),
         )
 
 
@@ -235,6 +238,7 @@ def linearize_batch(
         top=top,
         slope=slope,
         super_optimal_utility=np.sum(top, axis=1),
+        price=result.marginal_price,
     )
 
 
@@ -260,8 +264,9 @@ def reclaim_batch(
     ``(trials,)``, seeds the price search of every server of trial ``t``
     at ``start[t]`` instead of 1 — bit-identical to ``water_fill_grouped``
     per trial with ``start=np.full(m_t, start[t])``.  Price discovery
-    passes its discovered prices; a start that is not positive and
-    finite falls back to 1.
+    passes each trial's clearing price ``λ*`` (``BatchLinearization.price``);
+    a start that is not positive and finite (a slack pool's 0) falls
+    back to 1.
     """
     T, n = bp.n_trials, bp.n_threads
     if ctx is not None:

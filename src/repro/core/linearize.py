@@ -44,12 +44,16 @@ class Linearization:
         ``top / ĉ`` (0 where ``ĉ = 0``): the ramp slope of ``g_i``.
     super_optimal_utility:
         ``F̂ = Σ top`` — the upper bound on the AA optimum.
+    price:
+        ``λ*``, the marginal price that clears the ``mC`` pool: the fill's
+        ``marginal_price`` (0 when the pool is slack).
     """
 
     c_hat: np.ndarray
     top: np.ndarray
     slope: np.ndarray
     super_optimal_utility: float
+    price: float
 
     def g_value(self, i: "np.ndarray | int", x: "np.ndarray | float") -> "np.ndarray | float":
         """Linearized utility ``g_i(x)``, elementwise over arrays ``i``/``x``."""
@@ -102,4 +106,5 @@ def _linearize(problem: AAProblem, ctx: "SolveContext | None") -> Linearization:
         top=top,
         slope=slope,
         super_optimal_utility=float(np.sum(top)),
+        price=result.marginal_price,
     )

@@ -42,15 +42,13 @@ BATCH_TRIALS = "batch_trials"
 #: utilities could not be batched (e.g. ``GenericBatch`` adapters with
 #: ``supports_vectorized = False``).
 BATCH_FALLBACKS = "batch_fallbacks"
-#: Damped price updates performed by the price-discovery solver (one per
-#: demand evaluation of its tatonnement loop, summed per-trial like the
-#: water-fill counters).
+#: Damped price updates performed by the multiresource tatonnement
+#: (``solve_multiresource(..., backend="prices")``), one per demand
+#: evaluation.
 PRICE_UPDATE_ITERATIONS = "price_update_iterations"
-#: Final relative residual ``|D(price) - budget| / budget`` of each price
-#: discovery, recorded in integer parts-per-billion (counters are
-#: monotonic ints): a converged solve at the default 1e-6 tolerance adds
-#: at most 1000, so sweeps track aggregate convergence quality exactly
-#: across workers.
+#: Final relative excess demand of each multiresource tatonnement, recorded
+#: in integer parts-per-billion (counters are monotonic ints), so sweeps
+#: track aggregate convergence quality exactly across workers.
 PRICE_CONVERGENCE_RESIDUAL = "price_convergence_residual"
 
 # -- allocation-service counters (emitted by repro.service.server) -----------

@@ -125,11 +125,17 @@ class QuadSplineBatch(UtilityBatch):
         if np.any(self.caps <= 0):
             raise ValueError("spline caps must be strictly positive")
         self.xm = 0.5 * self.caps
-        s1 = self.v / self.xm
-        s2 = self.w / (self.caps - self.xm)
-        self.d1 = np.minimum(0.5 * (s1 + s2), 2.0 * s2)
-        self.d0 = 2.0 * s1 - self.d1
-        self.d2 = 2.0 * s2 - self.d1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s1 = self.v / self.xm
+            s2 = self.w / (self.caps - self.xm)
+            self.d1 = np.minimum(0.5 * (s1 + s2), 2.0 * s2)
+            self.d0 = 2.0 * s1 - self.d1
+            self.d2 = 2.0 * s2 - self.d1
+        # A subnormal cap whose half rounds to 0, or v / xm past the float
+        # range, leaves no spline in floats.  A non-finite d1 makes d0
+        # non-finite too, so the two ends decide.
+        if not (np.isfinite(self.d0).all() and np.isfinite(self.d2).all()):
+            raise ValueError("spline knot slopes must be finite (v or w too large for its cap)")
         # The price searches call _demand dozens of times per solve, and the
         # sweep calls value hundreds of times per point, with only lam or c
         # changing, so the pieces independent of both are hoisted here.  A

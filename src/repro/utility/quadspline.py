@@ -28,6 +28,8 @@ original generator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -74,6 +76,11 @@ class ConcaveQuadSpline(UtilityFunction):
             )
         self.v, self.w, self.xm = v, w, xm
         self.d0, self.d1, self.d2 = spline_derivatives(v, w, xm, self.cap)
+        if not all(map(math.isfinite, (self.d0, self.d1, self.d2))):
+            raise ValueError(
+                "spline knot slopes must be finite (v or w too large for the cap): "
+                f"d0={self.d0!r}, d1={self.d1!r}, d2={self.d2!r}"
+            )
 
     def value(self, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.cap)

@@ -15,9 +15,9 @@ import pytest
 
 import repro
 from repro.allocation.grouped import water_fill_grouped
-from repro.allocation.prices import discover_prices_batch, pack_demands_batch
+from repro.allocation.prices import pack_demands_batch, price_discovery_batch_kernel
 from repro.allocation.waterfill import water_fill
-from repro.core.batch import BatchAssignment, BatchProblem, reclaim_batch
+from repro.core.batch import BatchAssignment, BatchProblem, linearize_batch, reclaim_batch
 from repro.engine import SolveContext
 from repro.experiments import harness
 from repro.experiments.figures import FIGURES
@@ -54,16 +54,16 @@ def test_alg2_reclaim_takes_at_most_30_grouped_passes(big_problem):
 
 
 def test_discovered_price_start_cuts_the_refill(big_problem):
-    """Price discovery's refill starts every server at the discovered
-    price.  From the default start of 1 the same refill takes about 3× the
-    passes; both reach the same utility (the refill tolerance, 1e-6 on the
-    price, leaves near-tied threads' split free)."""
+    """Price discovery's refill starts every server at the linearization's
+    clearing price λ*.  From the default start of 1 the same refill takes
+    about 3× the passes; both reach the same utility (the refill tolerance,
+    1e-6 on the price, leaves near-tied threads' split free)."""
     bp = BatchProblem(big_problem.utilities, 1, big_problem.n_servers, CAP)
-    prices = discover_prices_batch(bp.utilities, 1, bp.pools)
-    servers, alloc = pack_demands_batch(prices.allocations, bp.n_servers, bp.capacity)
+    lin = linearize_batch(bp)
+    servers, alloc = pack_demands_batch(lin.c_hat, bp.n_servers, bp.capacity)
     packed = BatchAssignment(servers, alloc)
     passes, utilities = [], []
-    for start in (None, prices.price):
+    for start in (None, lin.price):
         ctx = SolveContext()
         out = reclaim_batch(bp, packed, ctx, rel_tol=1e-6, start=start)
         passes.append(ctx.counters[GROUPED_BISECTION_ITERATIONS])
@@ -71,6 +71,10 @@ def test_discovered_price_start_cuts_the_refill(big_problem):
     cold, warm = passes
     assert warm <= 15 and 2 * warm <= cold
     assert utilities[1] == pytest.approx(utilities[0], rel=1e-9)
+    # The solver's own refill is the warm one.
+    ctx = SolveContext()
+    price_discovery_batch_kernel(bp, lin, ctx)
+    assert ctx.counters[GROUPED_BISECTION_ITERATIONS] == warm
 
 
 def test_churn_fills_average_at_most_6_passes(monkeypatch):

@@ -21,6 +21,20 @@ from repro.utility.quadspline import ConcaveQuadSpline
 #: A capacity used by most strategy-generated instances.
 CAP = 10.0
 
+_HALF_MAX = np.finfo(float).max / 2
+
+#: Quadspline parameters ``(v, w, cap)`` whose knot slopes are not finite
+#: floats: half the cap rounds to 0; ``v / (cap/2)`` overflows; with cap 2,
+#: w a hair above v (inside the concavity tolerance) overflows ``2 * w`` and
+#: so only the right-end slope ``d2``.
+NONFINITE_SPLINES = [
+    pytest.param(1.0, 0.5, 5e-324, id="cap_half_underflows"),
+    pytest.param(1e10, 5e9, 1e-300, id="slope_overflows"),
+    pytest.param(
+        _HALF_MAX * (1 - 1e-13), _HALF_MAX * (1 + 1e-13), 2.0, id="right_end_slope_overflows"
+    ),
+]
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ def test_linearize_batch_bit_identical(params):
         assert np.array_equal(blin.top[t], lin.top)
         assert np.array_equal(blin.slope[t], lin.slope)
         assert float(blin.super_optimal_utility[t]) == lin.super_optimal_utility
+        assert lin.price == water_fill(problem.utilities, problem.pool).marginal_price
+        assert blin.price[t].tobytes() == np.float64(lin.price).tobytes()
 
 
 def _assert_reclaim_counters_match(ctx_batch, ctx_scalar):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import CAP, utility_lists
+from tests.conftest import CAP, NONFINITE_SPLINES, utility_lists
 from repro.core.problem import AAProblem, Assignment
 from repro.extensions.online import OnlineScheduler
 from repro.serialization import (
@@ -23,6 +23,7 @@ from repro.serialization import (
     utility_from_dict,
     utility_to_dict,
 )
+from repro.service.api import request_from_dict
 from repro.utility.batch import QuadSplineBatch
 
 
@@ -68,6 +69,17 @@ def test_utility_unknown_type_rejected():
     }
     with pytest.raises(ValueError, match="unknown utility type"):
         problem_from_dict(data)
+
+
+@pytest.mark.parametrize("v, w, cap", NONFINITE_SPLINES)
+def test_utility_codec_rejects_nonfinite_quadspline(v, w, cap):
+    """The decoder a submitted thread goes through refuses a spline whose
+    knot slopes are not finite floats."""
+    utility = {"type": "quadspline", "v": v, "w": w, "cap": cap}
+    with pytest.raises(ValueError):
+        utility_from_dict(utility)
+    with pytest.raises(ValueError):
+        request_from_dict({"op": "submit", "thread_id": "t", "utility": utility})
 
 
 def test_utility_missing_type_rejected():

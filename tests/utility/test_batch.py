@@ -1,5 +1,7 @@
 """UtilityBatch implementations: batch-vs-scalar agreement and subsetting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,8 @@ from repro.utility.batch import (
 )
 from repro.utility.functions import LinearUtility, LogUtility
 from repro.utility.quadspline import ConcaveQuadSpline
+
+from tests.conftest import NONFINITE_SPLINES
 
 CAP = 50.0
 
@@ -148,6 +152,15 @@ def test_quadspline_batch_rejects_w_above_v():
 def test_quadspline_batch_rejects_negative():
     with pytest.raises(ValueError):
         QuadSplineBatch([-1.0], [-2.0], CAP)
+
+
+@pytest.mark.parametrize("v, w, cap", NONFINITE_SPLINES)
+def test_quadspline_batch_rejects_nonfinite_slopes(v, w, cap):
+    """Refused with an explicit error, without a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            QuadSplineBatch([v], [w], cap)
 
 
 def test_power_batch_rejects_bad_beta():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.utility.quadspline import ConcaveQuadSpline, PchipUtility
 
+from tests.conftest import NONFINITE_SPLINES
+
 CAP = 100.0
 
 anchor_v = st.floats(min_value=1e-3, max_value=50.0)
@@ -71,6 +73,12 @@ def test_flat_tail_when_w_zero():
 def test_rejects_nonconcave_anchors():
     with pytest.raises(ValueError, match="concave"):
         ConcaveQuadSpline(v=1.0, w=5.0, cap=CAP)
+
+
+@pytest.mark.parametrize("v, w, cap", NONFINITE_SPLINES)
+def test_rejects_nonfinite_slopes(v, w, cap):
+    with pytest.raises(ValueError):
+        ConcaveQuadSpline(v=v, w=w, cap=cap)
 
 
 def test_rejects_bad_xm():
