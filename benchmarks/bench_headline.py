@@ -213,7 +213,8 @@ def test_observability_overhead(benchmark):
 
     Three configurations over the same instances:
 
-    * ``bare``      — a plain ``SolveContext`` (counters/spans only);
+    * ``bare``      — a plain ``SolveContext`` (counters only; its spans
+      are the shared no-op);
     * ``full``      — tracer + metrics registry + bounded memory sink;
     * the benchmark times ``bare`` so pytest-benchmark archives the
       baseline; ``full`` overhead is reported relative to it.

@@ -1,11 +1,11 @@
 """AART001 — wall-clock reads only in the timing/observability layers.
 
-The repro's measurements (span recorder, benchmarks, deadline accounting)
+The repro's measurements (span trees, duration histograms, benchmarks)
 are meaningful only because every duration flows through
 :class:`repro.utils.timing.Timer` and the instrumented
 :class:`~repro.engine.context.SolveContext`.  A stray ``time.time()`` in a
-solver produces timings that bypass counter merging in the parallel sweep
-engine and makes service latency events lie.  ``time.monotonic()`` is
+solver produces a timing that no attached tracer, histogram or sink ever
+sees, and makes service latency events lie.  ``time.monotonic()`` is
 deliberately *not* banned: deadlines and coalescing windows legitimately
 read the monotonic clock for control flow (never for reporting).
 """
@@ -63,9 +63,10 @@ class WallClockRule(Rule):
     code = "AART001"
     name = "no-raw-wall-clock"
     rationale = (
-        "Durations must flow through Timer/SolveContext so spans merge "
-        "bit-identically across parallel workers; raw time.time()/"
-        "perf_counter()/datetime.now() reads bypass the observability layer."
+        "Durations must flow through Timer/SolveContext spans so they reach "
+        "whatever telemetry is attached (span tree, duration histogram, "
+        "event sink); raw time.time()/perf_counter()/datetime.now() reads "
+        "bypass the observability layer."
     )
 
     def _allowed(self, mod: ModuleInfo) -> bool:

@@ -31,10 +31,12 @@ invariants that hold for C-contiguous trial-major layouts:
   scalar walk's smallest-index tie-break.
 
 ``tests/core/test_batch_equivalence.py`` property-tests this contract
-across all four workload generators.  Counters and spans recorded through
-a :class:`~repro.engine.SolveContext` are *per-trial-equivalent*: batched
+across all four workload generators.  Counters recorded through a
+:class:`~repro.engine.SolveContext` are *per-trial-equivalent*: batched
 runs report exactly the totals the scalar loop would have, so parallel
-counter-merge invariants survive the representation change.
+counter-merge invariants survive the representation change.  The batched
+kernels record no spans; a context with telemetry attached runs the
+scalar loop instead.
 """
 
 from __future__ import annotations
@@ -222,9 +224,7 @@ def linearize_batch(
     Water-fills each trial's ``m_t * C_t`` pool through
     :func:`~repro.allocation.waterfill.water_fill_batch`, then builds the
     ramp parameters elementwise.  Counter accounting matches ``trials``
-    scalar :func:`~repro.core.linearize.linearize` calls exactly; the
-    caller (the harness's batch chunk runner) folds the matching
-    ``linearize`` span.
+    scalar :func:`~repro.core.linearize.linearize` calls exactly.
     """
     if ctx is not None:
         ctx.count(LINEARIZE_CALLS, bp.n_trials)

@@ -92,7 +92,8 @@ def solve(
         spec declares reclamation applicable (the raw heuristics opt out).
     ctx:
         Optional :class:`~repro.engine.SolveContext` carrying the RNG,
-        deadline, counters/spans and the shared linearization cache.
+        deadline, counters, any attached telemetry and the shared
+        linearization cache.
 
     Returns
     -------

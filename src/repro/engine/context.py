@@ -3,36 +3,38 @@
 A :class:`SolveContext` bundles the cross-cutting concerns the paper's
 pseudocode leaves implicit but a production allocator cannot: a seeded RNG
 (randomized heuristics), a wall-clock deadline (admission control must
-answer in bounded time), an observability sink (counters + timing spans,
-optionally streamed as JSONL events), and a shared
+answer in bounded time), exact counters, the optional telemetry surfaces
+its :meth:`~SolveContext.span` blocks feed (a span tree, a duration
+histogram, an event sink), and a shared
 :class:`~repro.engine.cache.LinearizationCache` so the expensive
 ``O(n(log mC)²)`` super-optimal precomputation is done once per instance
 no matter how many contenders run on it.
 
 All core entry points (``linearize``, ``water_fill``, ``algorithm1``,
 ``algorithm2``, ``reclaim``) accept ``ctx=None`` and stay zero-overhead
-when no context is supplied.
+when no context is supplied; a context with no telemetry attached hands
+out one shared no-op span.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.observability import Counters, EventSink, MetricsRegistry, SpanRecorder, Tracer
+from repro.observability import SPAN_SECONDS, Counters, EventSink, MetricsRegistry, Tracer
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.timing import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from contextlib import AbstractContextManager
-
     from repro.core.linearize import Linearization
     from repro.core.problem import AAProblem
     from repro.engine.cache import LinearizationCache
-    from repro.observability import Histogram
-    from repro.utils.timing import Timer
+
+#: The span handed out when no telemetry surface is attached.
+_NO_SPAN: AbstractContextManager[None] = nullcontext()
 
 
 class SolveTimeout(TimeoutError):
@@ -79,7 +81,6 @@ class SolveContext:
     ) -> None:
         self.rng: np.random.Generator = as_generator(seed)
         self.counters = Counters()
-        self.spans = SpanRecorder()
         self.sink = sink
         self.cache = cache
         self.tracer = tracer
@@ -97,13 +98,17 @@ class SolveContext:
         """Increment counter ``name`` by ``n``."""
         self.counters.add(name, n)
 
-    def span(self, name: str) -> "_EmittingSpan":
-        """Context manager timing a block under ``name`` (accumulating).
+    def span(self, name: str) -> AbstractContextManager[None]:
+        """Context manager timing a block under ``name``.
 
-        On exit the interval is also emitted to the sink (if any) as a
-        ``{"type": "span", "name": ..., "seconds": ...}`` event.
+        The block feeds whatever is attached: a node in the tracer's
+        tree, an observation of the ``SPAN_SECONDS`` histogram and a
+        ``{"type": "span", "name": ..., "seconds": ...}`` sink event.
+        With none of the three attached it is one shared no-op.
         """
-        return _EmittingSpan(self, name)
+        if self.tracer is None and self.metrics is None and self.sink is None:
+            return _NO_SPAN
+        return _Span(self, name)
 
     @contextmanager
     def solve_span(self, solver_name: str) -> Iterator[None]:
@@ -112,9 +117,9 @@ class SolveContext:
         Both the ``solve()`` facade and :meth:`SolverSpec.run
         <repro.engine.registry.SolverSpec.run>` open ``solve.<name>``
         around a solve; when the facade already holds it, the registry's
-        nested attempt collapses into the existing span instead of
-        double-counting (the accumulating Timer refuses same-name
-        nesting by design).
+        nested attempt collapses into the existing span.  Without that,
+        the nested attempt would add a duplicate tree node and a
+        duplicate ``SPAN_SECONDS`` observation for the same solve.
         """
         if self._open_solve == solver_name:
             yield
@@ -155,22 +160,6 @@ class SolveContext:
             return
         self.metrics.histogram(name, help=help, **labels).observe(value)
 
-    def snapshot(self) -> dict:
-        """Counters plus span totals as one JSON-ready dict."""
-        return {"counters": self.counters.snapshot(), "spans": self.spans.snapshot()}
-
-    def fold_span(self, name: str, seconds: float, count: int) -> None:
-        """Fold ``count`` externally-measured intervals into span ``name``.
-
-        The trial-batched pipeline times one vectorized phase covering many
-        trials and records it as the *per-trial-equivalent* spans a scalar
-        run would have produced (same names, same interval counts, measured
-        total) — so span-count parity across backends and worker splits is
-        preserved.  Only the flat recorder is fed: the batch path is chosen
-        precisely when no tracer/metrics/sink is attached.
-        """
-        self.spans.merge({name: {"total": float(seconds), "count": count}})
-
     # -- deadline ------------------------------------------------------------
 
     def remaining(self) -> float | None:
@@ -197,43 +186,36 @@ class SolveContext:
         return linearize(problem, ctx=self)
 
 
-class _EmittingSpan:
-    """Span context manager driving every attached recorder at once.
+class _Span:
+    """One ``with ctx.span(name)`` block, driving every attached surface.
 
-    One ``with ctx.span(name)`` block accumulates into the flat
-    :class:`~repro.observability.SpanRecorder`, opens a node in the
-    hierarchical :class:`~repro.observability.Tracer` (when attached),
-    feeds the per-span duration histogram (when a metrics registry is
-    attached) and emits a ``span`` event to the sink — so instrumented
-    code carries exactly one span idiom regardless of which telemetry
-    surfaces are enabled.
+    It opens a node in the :class:`~repro.observability.Tracer` (when
+    attached), then observes the block's duration in the ``SPAN_SECONDS``
+    histogram (when a metrics registry is attached) and emits a ``span``
+    event to the sink (when one is attached) — so instrumented code
+    carries exactly one span idiom whichever surfaces are enabled.
     """
 
     def __init__(self, ctx: SolveContext, name: str) -> None:
         self._ctx = ctx
         self._name = name
-        self._inner: "AbstractContextManager[Timer] | None" = None
-        self._trace_span: "AbstractContextManager | None" = None
+        self._node: AbstractContextManager | None = None
+        self._timer = Timer()
 
-    def __enter__(self) -> "Timer":
+    def __enter__(self) -> None:
         if self._ctx.tracer is not None:
-            self._trace_span = self._ctx.tracer.span(self._name)
-            self._trace_span.__enter__()
-        self._inner = self._ctx.spans.span(self._name)
-        self._timer = self._inner.__enter__()
-        return self._timer
+            self._node = self._ctx.tracer.span(self._name)
+            self._node.__enter__()
+        self._timer.__enter__()
 
     def __exit__(self, *exc: object) -> None:
-        assert self._inner is not None, "span exited before it was entered"
-        self._inner.__exit__(*exc)
-        if self._trace_span is not None:
-            self._trace_span.__exit__(*exc)
+        self._timer.__exit__(*exc)
+        if self._node is not None:
+            self._node.__exit__(*exc)
+        seconds = self._timer.elapsed
         if self._ctx.metrics is not None:
-            from repro.observability import SPAN_SECONDS
-
             self._ctx.metrics.histogram(
                 SPAN_SECONDS, help="Span durations by span name.", span=self._name
-            ).observe(self._timer.elapsed)
-        self._ctx.emit(
-            {"type": "span", "name": self._name, "seconds": self._timer.elapsed}
-        )
+            ).observe(seconds)
+        if self._ctx.sink is not None:
+            self._ctx.sink.emit({"type": "span", "name": self._name, "seconds": seconds})

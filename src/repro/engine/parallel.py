@@ -17,9 +17,9 @@ one place the codebase touches :mod:`concurrent.futures`:
 
 Observability contract: workers cannot share the caller's
 :class:`~repro.engine.SolveContext`, so parallel callers have each task
-return counter/span/trace/metrics *snapshots* and fold them into the
-caller's context via ``Counters.merge`` / ``SpanRecorder.merge`` /
-``Tracer.merge`` / ``MetricsRegistry.merge`` (see
+return counter/trace/metrics *snapshots* and fold them into the
+caller's context via ``Counters.merge`` / ``Tracer.merge`` /
+``MetricsRegistry.merge`` (see
 :mod:`repro.observability`; histogram and counter merges are exact, so
 merged telemetry is independent of the worker split).  The experiment
 harness does exactly this.

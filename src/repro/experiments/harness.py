@@ -12,6 +12,9 @@ one linearization per instance (the expensive Lemma V.2 precomputation),
 obtained through the sweep's :class:`~repro.engine.SolveContext` — pass a
 context with a cache and counters to verify exactly one linearization per
 trial and to collect bisection/heap statistics for the whole sweep.
+Timings come only from telemetry attached to that context (a tracer or a
+metrics registry), which routes the sweep through the per-trial loop; the
+trial-batched pipeline records counters alone.
 
 Ratios follow the paper's figures: ``alg2 / SO`` (at most 1; "how close to
 optimal") and ``alg2 / heuristic`` (at least ~1; "how much better than the
@@ -48,7 +51,6 @@ from repro.observability import (
 from repro.utility.batch import concat_batches
 from repro.workloads.generators import Distribution, make_problem, paper_utilities_batch
 from repro.utils.rng import SeedLike, spawn_seed_sequences
-from repro.utils.timing import Timer
 
 #: Valid ``backend`` arguments of :func:`run_point_arrays` and friends.
 BACKENDS = ("auto", "batch", "scalar")
@@ -163,14 +165,14 @@ class _TrialChunkResult:
 
     ``utilities[t, s]`` is contender ``names[s]``'s total utility on the
     chunk's ``t``-th trial — arrays, not per-trial dicts, to keep the
-    inter-process payload small.  ``counters``/``spans`` are the worker
-    context's snapshots, merged into the caller's context on receipt.
+    inter-process payload small.  ``counters``/``trace``/``metrics`` are
+    the worker context's snapshots, merged into the caller's context on
+    receipt.
     """
 
     names: tuple
     utilities: np.ndarray
     counters: dict
-    spans: dict
     trace: dict | None = None
     metrics: dict | None = None
 
@@ -178,10 +180,9 @@ class _TrialChunkResult:
 def _batch_precheck_reason(ctx: SolveContext, include_alg1: bool) -> str | None:
     """Batch-backend blockers knowable *before* generating any instance.
 
-    The batch pipeline records *per-trial-equivalent* flat counters and
-    spans, but it cannot replay per-trial telemetry streams — so an
-    attached tracer, metrics registry or event sink forces the scalar
-    path; so do contenders without a registered ``batch_fn`` (ALG1).
+    The batch pipeline records *per-trial-equivalent* counters, but it
+    cannot replay per-trial telemetry streams — so an attached tracer,
+    metrics registry or event sink forces the scalar path; so do contenders without a registered ``batch_fn`` (ALG1).
     The remaining blocker — a utility family without an array evaluation
     contract — needs a generated instance; see
     :func:`_batch_unsupported_reason`.
@@ -225,41 +226,27 @@ def _run_batch_chunk(
     """Solve a whole chunk through the array-first pipeline.
 
     Produces the same utility matrix — bit for bit — as the scalar
-    per-trial loop, and per-trial-equivalent observability: counters equal
-    the sum the scalar path would have emitted, and each vectorized phase
-    folds into the scalar span names with one interval per trial
-    (:meth:`~repro.engine.context.SolveContext.fold_span`).
+    per-trial loop, and counters equal to the sum the scalar path would
+    have emitted.  It records no spans: it only runs when no telemetry
+    surface is attached.
     """
     trials = bp.n_trials
     if ctx.cache is not None:
         # Parity with the scalar path's per-trial cache probe: every trial
         # of a fresh instance is a miss (the batch never revisits one).
         ctx.count(LINEARIZE_CACHE_MISSES, trials)
-    with Timer() as t:
-        blin = linearize_batch(bp, ctx=ctx)
-    ctx.fold_span("linearize", t.elapsed, trials)
+    blin = linearize_batch(bp, ctx=ctx)
     columns: dict[str, np.ndarray] = {SO: blin.super_optimal_utility}
     alg2_batch = get_solver("alg2").batch_fn
     assert alg2_batch is not None  # _batch_unsupported_reason vetted this
-    with Timer() as t:
-        raw2 = alg2_batch(bp, blin, ctx, rngs)
-    # The scalar path nests span "alg2" under root "solve.alg2"; the flat
-    # recorder keeps both names, so the fold feeds both.
-    ctx.fold_span("solve.alg2", t.elapsed, trials)
-    ctx.fold_span("alg2", t.elapsed, trials)
-    with Timer() as t:
-        reclaimed = reclaim_batch(bp, raw2, ctx=ctx)
-    ctx.fold_span("reclaim", t.elapsed, trials)
+    raw2 = alg2_batch(bp, blin, ctx, rngs)
+    reclaimed = reclaim_batch(bp, raw2, ctx=ctx)
     columns[ALG2] = reclaimed.total_utilities(bp)
     if task.include_raw:
         columns[ALG2RAW] = raw2.total_utilities(bp)
     for spec in list_solvers(kind="heuristic"):
         assert spec.batch_fn is not None  # vetted by _batch_unsupported_reason
-        with Timer() as t:
-            result = spec.batch_fn(
-                bp, blin if spec.uses_linearization else None, ctx, rngs
-            )
-        ctx.fold_span(f"solve.{spec.name}", t.elapsed, trials)
+        result = spec.batch_fn(bp, blin if spec.uses_linearization else None, ctx, rngs)
         columns[spec.name] = result.total_utilities(bp)
     names = (SO, ALG2) + ((ALG2RAW,) if task.include_raw else ())
     names = names + tuple(s.name for s in list_solvers(kind="heuristic"))
@@ -268,9 +255,6 @@ def _run_batch_chunk(
         names=names,
         utilities=np.column_stack([columns[name] for name in names]),
         counters=ctx.counters.snapshot(),
-        spans=ctx.spans.snapshot(),
-        trace=None,
-        metrics=None,
     )
 
 
@@ -377,7 +361,6 @@ def _run_trial_chunk(
         names=names or (),
         utilities=np.asarray(rows, dtype=float),
         counters=ctx.counters.snapshot(),
-        spans=ctx.spans.snapshot(),
         trace=ctx.tracer.snapshot() if ctx.tracer is not None else None,
         metrics=ctx.metrics.snapshot() if ctx.metrics is not None else None,
     )
@@ -411,7 +394,7 @@ def run_point_arrays(
     including 1 — produces bit-identical utilities.  With ``n_jobs > 1``
     each worker runs its own :class:`~repro.engine.SolveContext` mirroring
     the caller's (tracer and metrics registry included, when present) and
-    its counter/span/trace/metrics snapshots are merged into ``ctx`` —
+    its counter/trace/metrics snapshots are merged into ``ctx`` —
     histogram merges are *exact*, worker span trees graft under the
     caller's open span (sinks, which are not picklable, stay serial-only);
     with ``n_jobs=1`` the caller's ``ctx`` is used directly, exactly as
@@ -474,7 +457,6 @@ def run_point_arrays(
         if ctx is not None:
             for res in results:
                 ctx.counters.merge(res.counters)
-                ctx.spans.merge(res.spans)
                 if ctx.tracer is not None and res.trace is not None:
                     ctx.tracer.merge(res.trace)
                 if ctx.metrics is not None and res.metrics is not None:
@@ -598,7 +580,7 @@ def run_sweep(
         draws fresh OS entropy (every unseeded sweep differs).
     ctx:
         Optional shared :class:`~repro.engine.SolveContext`; counters and
-        spans accumulate across every point of the sweep.
+        any attached telemetry accumulate across every point of the sweep.
     n_jobs / chunksize:
         Process-pool fan-out within each point (see
         :func:`run_point_arrays`); results are independent of the worker

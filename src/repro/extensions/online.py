@@ -420,7 +420,7 @@ class OnlineScheduler:
         applies only if the net gain is positive.
 
         ``ctx`` is an optional :class:`~repro.engine.SolveContext` so churn
-        loops can accumulate counters/spans and enforce a re-plan deadline.
+        loops can accumulate counters and enforce a re-plan deadline.
         ``max_migrations`` (the service's migration budget) declines the
         re-solve outright when it would move more threads than allowed.
         """

@@ -1,4 +1,4 @@
-"""Observability: counters, metrics, spans, traces, sinks, gap monitoring.
+"""Observability: counters, metrics, traces, sinks, gap monitoring.
 
 Grown out of ``repro.utils.timing`` into the telemetry subsystem every
 layer shares:
@@ -10,17 +10,19 @@ layer shares:
   buckets and exact sums make histogram merges associative, commutative
   and bit-identical however trials are split across processes; rendered
   by :func:`render_prometheus` / :func:`render_json`;
-* **spans** — :class:`SpanRecorder` (flat per-name totals) and
-  :class:`Tracer` (true parent/child span trees, Chrome-trace
-  exportable via :func:`chrome_trace`);
+* **traces** — :class:`Tracer` (parent/child span trees, Chrome-trace
+  exportable via :func:`chrome_trace`); a span's flat per-name totals
+  are the ``SPAN_SECONDS`` histogram's sum and count;
 * **sinks** — :class:`JsonlSink` (thread-safe), :class:`MemorySink`
-  (optionally bounded), :class:`NullSink`;
+  (optionally bounded), :class:`TeeSink`, and :func:`tee_sinks`, which
+  makes the one sink an owner emits into (``None`` when nothing is
+  attached);
 * **gap monitoring** — :class:`GapMonitor` alerts if a certified step's
   utility/bound ratio ever falls below the paper's α guarantee.
 
-The solver engine's :class:`~repro.engine.SolveContext` carries one of
-each (all optional); the allocation service exposes them over
-``/metrics`` and ``/healthz``.  See ``docs/observability.md``.
+The solver engine's :class:`~repro.engine.SolveContext` carries counters
+and, optionally, a tracer, a metrics registry and a sink; the allocation
+service exposes them over ``/metrics`` and ``/healthz``.  See ``docs/observability.md``.
 """
 
 from repro.observability.counters import (
@@ -100,10 +102,9 @@ from repro.observability.sinks import (
     EventSink,
     JsonlSink,
     MemorySink,
-    NullSink,
     TeeSink,
+    tee_sinks,
 )
-from repro.observability.spans import SpanRecorder
 from repro.observability.tracing import (
     TRACE_FORMAT,
     Tracer,
@@ -174,8 +175,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "NullSink",
-    "SpanRecorder",
     "TeeSink",
     "Tracer",
     "chrome_trace",
@@ -187,4 +186,5 @@ __all__ = [
     "render_prometheus",
     "stamp_remote",
     "strip_partials",
+    "tee_sinks",
 ]

@@ -84,8 +84,10 @@ FLEET_MIGRATION_ROLLBACKS = "fleet_migration_rollbacks"
 class Counters(Mapping[str, int]):
     """A mapping of monotonic named counters.
 
-    Reads behave like a ``dict`` that defaults to 0 for unknown names;
-    writes go through :meth:`add` only, keeping counters append-only.
+    Reads behave like a read-only ``dict``: a name never counted is
+    missing (``counters[name]`` raises :class:`KeyError`), so a caller
+    that means zero writes ``counters.get(name, 0)``.  Writes go through
+    :meth:`add` only, keeping counters append-only.
     """
 
     def __init__(self) -> None:
@@ -98,7 +100,7 @@ class Counters(Mapping[str, int]):
         self._values[name] = self._values.get(name, 0) + int(n)
 
     def __getitem__(self, name: str) -> int:
-        return self._values.get(name, 0)
+        return self._values[name]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)

@@ -7,8 +7,8 @@ ratio of a state the service just re-certified can only fall below α if
 something is wrong (a solver regression, state corruption, a stale bound
 applied to mutated state).  :class:`GapMonitor` watches that ratio per
 service step: rolling quantiles for dashboards, and a structured
-``gap_alert`` event the moment a certified step ever dips below the
-guarantee.
+``gap_alert`` event — returned to the owner, which emits it — the moment
+a certified step ever dips below the guarantee.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Any
-
-from repro.observability.sinks import EventSink
 
 
 def _default_threshold() -> float:
@@ -35,13 +33,11 @@ class GapMonitor:
     ----------
     threshold:
         Alert floor; defaults to the paper's α = 2(√2−1).  A certified
-        step whose ratio falls below it (beyond ``tolerance``) emits a
+        step whose ratio falls below it (beyond ``tolerance``) yields a
         ``gap_alert`` event — per Lemma V.3 that is a bug, not a
         workload property.
     window:
         Number of recent ratios kept for the rolling quantiles.
-    sink:
-        Optional :class:`~repro.observability.EventSink` for alerts.
     tolerance:
         Relative slack absorbing float roundoff in the ratio itself.
     """
@@ -50,7 +46,6 @@ class GapMonitor:
         self,
         threshold: float | None = None,
         window: int = 512,
-        sink: EventSink | None = None,
         tolerance: float = 1e-9,
     ) -> None:
         if window < 1:
@@ -59,7 +54,6 @@ class GapMonitor:
             float(threshold) if threshold is not None else _default_threshold()
         )
         self.tolerance = float(tolerance)
-        self.sink = sink
         self._recent: deque[float] = deque(maxlen=int(window))
         self.count = 0
         self.breaches = 0
@@ -83,7 +77,7 @@ class GapMonitor:
         if ratio >= self.threshold * (1.0 - self.tolerance):
             return None
         self.breaches += 1
-        event = {
+        return {
             "type": "gap_alert",
             "ratio": ratio,
             "threshold": self.threshold,
@@ -92,9 +86,6 @@ class GapMonitor:
             "breaches": self.breaches,
             **context,
         }
-        if self.sink is not None:
-            self.sink.emit(event)
-        return event
 
     def quantile(self, q: float) -> float:
         """Rolling-window ratio quantile (nearest-rank); nan when empty."""

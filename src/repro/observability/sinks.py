@@ -30,13 +30,6 @@ class EventSink(Protocol):
         ...
 
 
-class NullSink:
-    """Discards every event (the default when observability is off)."""
-
-    def emit(self, event: dict) -> None:
-        pass
-
-
 class MemorySink:
     """Buffers events in memory; used by tests and interactive sessions.
 
@@ -79,6 +72,18 @@ class TeeSink:
     def emit(self, event: dict) -> None:
         for sink in self.sinks:
             sink.emit(event)
+
+
+def tee_sinks(*sinks: EventSink | None) -> EventSink | None:
+    """The one sink feeding every attached sink of ``sinks``, in order.
+
+    ``None`` when none is attached (so emitters skip building events),
+    the sink itself when one is, and a :class:`TeeSink` of all otherwise.
+    """
+    attached = [sink for sink in sinks if sink is not None]
+    if len(attached) > 1:
+        return TeeSink(*attached)
+    return attached[0] if attached else None
 
 
 class JsonlSink:

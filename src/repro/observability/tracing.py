@@ -1,9 +1,8 @@
 """Hierarchical tracing: true parent/child span trees per solve.
 
-Where :class:`~repro.observability.SpanRecorder` aggregates *totals* per
-span name, a :class:`Tracer` records every interval as a node in a tree:
-each span has a stable integer id, its parent's id (``None`` for roots),
-a start offset on the tracer's private monotonic clock and a duration.
+A :class:`Tracer` records every interval as a node in a tree: each span
+has a stable integer id, its parent's id (``None`` for roots), a start
+offset on the tracer's private monotonic clock and a duration.
 The solver registry opens one root span per solve (``solve.<name>``), so
 the nested ``linearize`` / ``alg2`` / ``reclaim`` spans become its
 children automatically.

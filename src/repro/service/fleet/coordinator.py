@@ -71,6 +71,7 @@ from repro.observability import (
     merge_snapshots,
     relabel_snapshot,
     render_prometheus,
+    tee_sinks,
 )
 from repro.serialization import utility_from_dict
 from repro.service.api import (
@@ -98,7 +99,6 @@ from repro.service.server import (
     AllocationService,
     _attach_trace,
     _batch_tracer,
-    _EmitAdapter,
 )
 from repro.service.transport import InProcessTransport
 
@@ -199,7 +199,7 @@ class FleetCoordinator:
     metrics, gap:
         Fleet-level instrument registry and α-guarantee monitor (created
         fresh when omitted; the gap monitor watches the *composed*
-        certificate).
+        certificate, and its alerts go to ``sink`` and ``flight``).
     sync:
         When True (default), rebuild the location/utility maps from the
         shards' snapshots at construction — required when attaching to
@@ -239,13 +239,12 @@ class FleetCoordinator:
                 f"{len(transports)} transports were given"
             )
         self.policy = policy or FleetPolicy()
-        self.sink = sink
         self.flight = flight
+        #: The one sink every event goes to (``None`` when none is attached).
+        self._sink = tee_sinks(sink, flight)
         self.counters = Counters()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # gap_alert events must reach the flight recorder too, so a default
-        # monitor is wired through _emit (which tees) rather than the raw sink.
-        self.gap = gap if gap is not None else GapMonitor(sink=_EmitAdapter(self))
+        self.gap = gap if gap is not None else GapMonitor()
         self._lock = threading.Lock()
         self._location: dict[str, int] = {}
         self._utilities: dict[str, Any] = {}
@@ -272,12 +271,6 @@ class FleetCoordinator:
         """The shard currently hosting ``thread_id`` (None if unknown)."""
         with self._lock:
             return self._location.get(thread_id)
-
-    def _emit(self, event: dict[str, Any]) -> None:
-        if self.sink is not None:
-            self.sink.emit(event)
-        if self.flight is not None:
-            self.flight.emit(event)
 
     def sync_from_shards(self) -> None:
         """Rebuild the location/utility maps from shard snapshots.
@@ -357,10 +350,8 @@ class FleetCoordinator:
                 fleet=True,
                 **({SHARD_LABEL: str(min_shard)} if min_shard is not None else {}),
             )
-            # Sinkless caller-supplied monitors still reach the event
-            # stream and flight ring (the default monitor tees via _emit).
-            if alert is not None and self.gap.sink is None:
-                self._emit(alert)
+            if alert is not None and self._sink is not None:
+                self._sink.emit(alert)
         with self._lock:
             self.last_certificate = cert
         return cert
@@ -522,17 +513,18 @@ class FleetCoordinator:
             self.metrics.histogram(
                 REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="batch", phase="certify"
             ).observe(time.monotonic() - t_cert)
-            self._emit(
-                {
-                    "type": "fleet_step",
-                    "batch_size": len(requests),
-                    "step": self.steps,
-                    "n_threads": self.n_threads,
-                    "utility": cert.utility,
-                    "bound": cert.bound if cert.complete else None,
-                    "ratio": cert.ratio,
-                }
-            )
+            if self._sink is not None:
+                self._sink.emit(
+                    {
+                        "type": "fleet_step",
+                        "batch_size": len(requests),
+                        "step": self.steps,
+                        "n_threads": self.n_threads,
+                        "utility": cert.utility,
+                        "bound": cert.bound if cert.complete else None,
+                        "ratio": cert.ratio,
+                    }
+                )
 
         # Phase 3: reads, against the post-step fleet.
         for i in read_slots:
@@ -656,7 +648,8 @@ class FleetCoordinator:
             "utility_after": utility_after,
             "per_shard": per_shard,
         }
-        self._emit({"type": "fleet_rebalance", **report})
+        if self._sink is not None:
+            self._sink.emit({"type": "fleet_rebalance", **report})
         return report
 
     def _migrate(
@@ -725,16 +718,17 @@ class FleetCoordinator:
                 moved += 1
                 self.counters.add(FLEET_MIGRATIONS)
                 u_donor, u_receiver = new_u_donor, new_u_receiver
-                self._emit(
-                    {
-                        "type": "fleet_migration",
-                        "thread_id": tid,
-                        "from": donor,
-                        "to": receiver,
-                        "gain": gain,
-                        "quote": submitted[0].data.get("projected_gain"),
-                    }
-                )
+                if self._sink is not None:
+                    self._sink.emit(
+                        {
+                            "type": "fleet_migration",
+                            "thread_id": tid,
+                            "from": donor,
+                            "to": receiver,
+                            "gain": gain,
+                            "quote": submitted[0].data.get("projected_gain"),
+                        }
+                    )
             else:
                 undo = self.transports[receiver].request(RemoveThread(tid))
                 if not undo[0].ok:

@@ -16,7 +16,8 @@ simple and deterministic:
 * every step runs under an instrumented
   :class:`~repro.engine.SolveContext` with a per-request wall-clock
   budget; its counters merge into the service's lifetime counters and its
-  spans stream to the service's event sink.
+  spans stream to the service's one event sink (the caller's sink, the
+  flight recorder, or both), which every service event also goes to.
 
 Reads (query / snapshot) are answered against the post-step state, so
 within one batch "all writes happen before any read".
@@ -58,6 +59,7 @@ from repro.observability import (
     render_prometheus,
     stamp_remote,
     strip_partials,
+    tee_sinks,
 )
 from repro.service.api import (
     MUTATING_OPS,
@@ -81,16 +83,6 @@ from repro.utils.rng import SeedLike, as_generator
 _PHASE_HELP = (
     "Request latency split by phase (queue wait, coalesce wait, solve, serialize)."
 )
-
-
-class _EmitAdapter:
-    """EventSink facade over a service's ``_emit`` (sink + flight tee)."""
-
-    def __init__(self, service: Any) -> None:
-        self._service = service
-
-    def emit(self, event: dict[str, Any]) -> None:
-        self._service._emit(event)
 
 
 def _batch_tracer(
@@ -184,7 +176,7 @@ class AllocationService:
     gap:
         The :class:`~repro.observability.GapMonitor` watching certified
         utility/bound ratios against the paper's α guarantee (created
-        fresh, wired to ``sink``, when omitted).
+        fresh when omitted).  Its alerts go to ``sink`` and ``flight``.
     flight:
         Optional :class:`~repro.observability.FlightRecorder`; every
         emitted event is teed into it (it keeps the notable subset), and
@@ -207,14 +199,13 @@ class AllocationService:
         self.replan_policy = replan_policy or ReplanPolicy()
         self.admission_policy = admission_policy or AdmissionPolicy()
         self.solve_budget_s = solve_budget_s
-        self.sink = sink
         self.flight = flight
+        #: The one sink every event goes to (``None`` when none is attached).
+        self._sink = tee_sinks(sink, flight)
         self.counters = Counters()
         self.cache = LinearizationCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # gap_alert events must reach the flight recorder too, so a default
-        # monitor is wired through _emit (which tees) rather than the raw sink.
-        self.gap = gap if gap is not None else GapMonitor(sink=_EmitAdapter(self))
+        self.gap = gap if gap is not None else GapMonitor()
         self._rng = as_generator(seed)
         self._pending: list[tuple[Request, float]] = []
         #: Certification data from the most recent step (may lag mutations
@@ -225,25 +216,16 @@ class AllocationService:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _emit(self, event: dict[str, Any]) -> None:
-        if self.sink is not None:
-            self.sink.emit(event)
-        if self.flight is not None:
-            self.flight.emit(event)
-
     def _observe_gap(self, utility: float, bound: float, **context: Any) -> None:
         alert = self.gap.observe(utility, bound, **context)
-        # A caller-supplied monitor without a sink of its own still gets its
-        # alerts into the event stream and the flight ring; the default
-        # monitor's sink is _EmitAdapter, which already lands there.
-        if alert is not None and self.gap.sink is None:
-            self._emit(alert)
+        if alert is not None and self._sink is not None:
+            self._sink.emit(alert)
 
     def _make_ctx(self, tracer: Tracer | None = None) -> SolveContext:
         return SolveContext(
             seed=self._rng,
             budget_s=self.solve_budget_s,
-            sink=self.sink,
+            sink=self._sink,
             cache=self.cache,
             tracer=tracer,
         )
@@ -263,15 +245,16 @@ class AllocationService:
         reason = self.admission_policy.refuse_enqueue(len(self._pending))
         if reason is not None:
             self.counters.add(SERVICE_ADMISSION_REJECTS)
-            self._emit(
-                {
-                    "type": "request",
-                    "op": request.op,
-                    "ok": False,
-                    "reason": reason,
-                    "request_id": request.request_id,
-                }
-            )
+            if self._sink is not None:
+                self._sink.emit(
+                    {
+                        "type": "request",
+                        "op": request.op,
+                        "ok": False,
+                        "reason": reason,
+                        "request_id": request.request_id,
+                    }
+                )
             return Response.failure(request.op, reason, request_id=request.request_id)
         self._pending.append((request, time.monotonic()))
         self.metrics.gauge(QUEUE_DEPTH, help="Mutations queued for the next step.").set(
@@ -382,15 +365,16 @@ class AllocationService:
                     op=req.op,
                     request_id=req.request_id,
                 )
-            self._emit(
-                {
-                    "type": "request",
-                    "op": req.op,
-                    "ok": resp.ok,
-                    "latency_s": now - t_enq,
-                    "request_id": req.request_id,
-                }
-            )
+            if self._sink is not None:
+                self._sink.emit(
+                    {
+                        "type": "request",
+                        "op": req.op,
+                        "ok": resp.ok,
+                        "latency_s": now - t_enq,
+                        "request_id": req.request_id,
+                    }
+                )
         self.metrics.histogram(
             REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="step", phase="solve"
         ).observe(now - t_start)
@@ -398,19 +382,20 @@ class AllocationService:
             STEP_SECONDS, help="Duration of each coalesced service step."
         ).observe(now - t_start)
         self._observe_state_gauges()
-        self._emit(
-            {
-                "type": "step",
-                "batch_size": len(batch),
-                "seconds": now - t_start,
-                "version": self.state.version,
-                "n_threads": self.state.n_threads,
-                "utility": self.state.total_utility(),
-                "bound": self.last_bound,
-                "ratio": self.last_ratio,
-                "counters": ctx.counters.snapshot(),
-            }
-        )
+        if self._sink is not None:
+            self._sink.emit(
+                {
+                    "type": "step",
+                    "batch_size": len(batch),
+                    "seconds": now - t_start,
+                    "version": self.state.version,
+                    "n_threads": self.state.n_threads,
+                    "utility": self.state.total_utility(),
+                    "bound": self.last_bound,
+                    "ratio": self.last_ratio,
+                    "counters": ctx.counters.snapshot(),
+                }
+            )
         return [responses[k] for k in range(len(batch))]
 
     def _observe_state_gauges(self) -> None:
@@ -481,7 +466,8 @@ class AllocationService:
         except SolveTimeout as exc:
             # Can't even certify inside the budget; the incremental state
             # is still feasible, so keep serving it uncertified.
-            self._emit({"type": "replan", "reason": "uncertified", "ok": False})
+            if self._sink is not None:
+                self._sink.emit({"type": "replan", "reason": "uncertified", "ok": False})
             return {
                 "replanned": False,
                 "reason": None,
@@ -507,7 +493,8 @@ class AllocationService:
             except SolveTimeout as exc:
                 # The incremental state is still feasible; keep serving it.
                 info["error"] = f"replan abandoned: {exc}"
-                self._emit({"type": "replan", "reason": reason, "ok": False})
+                if self._sink is not None:
+                    self._sink.emit({"type": "replan", "reason": reason, "ok": False})
             else:
                 ctx.count(SERVICE_REPLANS)
                 ctx.count(SERVICE_MIGRATIONS, report.migrations)
@@ -518,17 +505,18 @@ class AllocationService:
                     utility_before=report.utility_before,
                     utility_after=report.utility_after,
                 )
-                self._emit(
-                    {
-                        "type": "replan",
-                        "reason": reason,
-                        "ok": True,
-                        "migrations": report.migrations,
-                        "utility_before": report.utility_before,
-                        "utility_after": report.utility_after,
-                        "bound": bound,
-                    }
-                )
+                if self._sink is not None:
+                    self._sink.emit(
+                        {
+                            "type": "replan",
+                            "reason": reason,
+                            "ok": True,
+                            "migrations": report.migrations,
+                            "utility_before": report.utility_before,
+                            "utility_after": report.utility_after,
+                            "bound": bound,
+                        }
+                    )
         self.last_bound = bound
         self.last_ratio = utility / bound if bound > 0 else 1.0
         self.last_certified_version = self.state.version

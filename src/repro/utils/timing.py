@@ -1,10 +1,7 @@
-"""Wall-clock timing primitives for the harness, benches and observability.
+"""Wall-clock timing for the harness, benches and observability.
 
-:class:`Timer` is the low-level building block: a re-entrant-*safe* (it
-refuses nesting rather than silently overwriting its start time) context
-manager that records the last interval in ``elapsed`` and accumulates
-across uses in ``total`` — the span recorder in
-:mod:`repro.observability` is built on that accumulation.
+:class:`Timer` measures one interval at a time; the instrumented
+:class:`~repro.engine.context.SolveContext` spans are built on it.
 """
 
 from __future__ import annotations
@@ -13,59 +10,22 @@ import time
 
 
 class Timer:
-    """Context manager recording elapsed wall-clock seconds.
+    """Context manager recording the elapsed wall-clock seconds of a block.
 
-    Attributes
-    ----------
-    elapsed:
-        Duration of the most recent completed interval.
-    total:
-        Sum of all completed intervals (a ``Timer`` may be reused
-        sequentially; the span recorder relies on this).
-    count:
-        Number of completed intervals.
+    ``elapsed`` holds the most recent completed interval; a ``Timer`` may
+    be reused sequentially.
 
     >>> with Timer() as t:
     ...     sum(range(10))
     >>> t.elapsed >= 0
     True
-
-    The timer is *not* nestable: entering an already-running timer raises
-    ``RuntimeError`` instead of silently restarting the clock.
     """
 
     def __init__(self) -> None:
         self.elapsed: float = 0.0
-        self.total: float = 0.0
-        self.count: int = 0
         self._start: float | None = None
 
-    def add(self, seconds: float, count: int = 1) -> None:
-        """Fold externally measured intervals into this timer.
-
-        Used when merging spans recorded in another process (the parallel
-        harness measures in workers, then folds totals into the caller's
-        recorder).  ``seconds`` becomes the most recent ``elapsed``.
-        """
-        if seconds < 0 or count < 0:
-            raise ValueError(
-                f"cannot add a negative interval ({seconds!r}s x {count!r})"
-            )
-        self.elapsed = float(seconds)
-        self.total += float(seconds)
-        self.count += int(count)
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer is currently inside a ``with`` block."""
-        return self._start is not None
-
     def __enter__(self) -> "Timer":
-        if self._start is not None:
-            raise RuntimeError(
-                "Timer is already running; Timer objects are reusable "
-                "sequentially but must not be nested"
-            )
         self._start = time.perf_counter()
         return self
 
@@ -73,6 +33,3 @@ class Timer:
         if self._start is None:
             raise RuntimeError("Timer.__exit__ called on a timer that was never started")
         self.elapsed = time.perf_counter() - self._start
-        self.total += self.elapsed
-        self.count += 1
-        self._start = None

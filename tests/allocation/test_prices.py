@@ -27,6 +27,7 @@ from repro.observability import (
     PRICE_ITERATIONS,
     PRICE_UPDATE_ITERATIONS,
     WATERFILL_CALLS,
+    Tracer,
 )
 from repro.utility.functions import LinearUtility
 from repro.workloads.generators import make_distribution, make_problem
@@ -198,13 +199,15 @@ def test_one_super_optimal_fill_per_solve():
 
 def test_solve_span_traced():
     problem = _paper_problem("uniform", 4, 8.0, 5)
-    ctx = SolveContext()
+    ctx = SolveContext(tracer=Tracer())
     run_solver("price_discovery", problem, ctx=ctx)
-    spans = ctx.spans.snapshot()
-    assert "solve.price_discovery" in spans
-    assert "linearize" in spans
-    assert "pack" in spans
-    assert "reclaim" in spans
+    leaf = {"count": 1, "children": {}}
+    assert ctx.tracer.skeleton() == {
+        "solve.price_discovery": {
+            "count": 1,
+            "children": {"linearize": leaf, "pack": leaf, "reclaim": leaf},
+        }
+    }
 
 
 def test_deadline_abandon_mid_iteration():

@@ -12,9 +12,11 @@ from repro.observability import (
     ALG2_HEAP_OPS,
     BISECTION_ITERATIONS,
     LINEARIZE_CALLS,
-    MemorySink,
     RECLAIM_CALLS,
+    SPAN_SECONDS,
     WATERFILL_CALLS,
+    MemorySink,
+    MetricsRegistry,
 )
 from repro.utility.functions import LogUtility
 
@@ -41,20 +43,25 @@ def test_alg1_counts_rounds():
 
 
 def test_counters_default_zero_and_reject_negative():
+    """A name never counted is missing; a reader that means zero says so."""
     ctx = SolveContext()
-    assert ctx.counters["never_touched"] == 0
+    with pytest.raises(KeyError):
+        ctx.counters["never_touched"]
+    assert ctx.counters.get("never_touched", 0) == 0
     with pytest.raises(ValueError):
         ctx.count("x", -1)
 
 
 def test_spans_accumulate_and_emit():
+    """Per-name span totals are the SPAN_SECONDS histogram's count and sum."""
     sink = MemorySink()
-    ctx = SolveContext(sink=sink)
+    ctx = SolveContext(sink=sink, metrics=MetricsRegistry())
     solve(tightness_instance(), ctx=ctx)
-    snap = ctx.snapshot()
-    assert "linearize" in snap["spans"]
-    assert "alg2" in snap["spans"]
-    assert "reclaim" in snap["spans"]
+    solve(tightness_instance(), ctx=ctx)
+    for name in ("solve.alg2", "linearize", "alg2", "reclaim"):
+        hist = ctx.metrics.histogram(SPAN_SECONDS, span=name)
+        assert hist.count == 2, name
+        assert hist.sum >= 0.0
     emitted = {e["name"] for e in sink.of_type("span")}
     assert {"linearize", "alg2", "reclaim"} <= emitted
     for e in sink.of_type("span"):

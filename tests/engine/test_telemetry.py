@@ -54,7 +54,7 @@ def test_run_solver_and_spec_run_do_not_double_count_the_root():
     run_solver("alg2", _problem(), ctx=ctx)
     skel = ctx.tracer.skeleton()
     assert skel["solve.alg2"]["count"] == 1
-    assert ctx.spans.count("solve.alg2") == 1
+    assert ctx.metrics.histogram(SPAN_SECONDS, span="solve.alg2").count == 1
 
 
 def test_solve_span_restores_state_across_solvers():
@@ -70,7 +70,6 @@ def test_span_feeds_all_attached_surfaces():
     ctx = _full_ctx()
     with ctx.span("work"):
         pass
-    assert ctx.spans.count("work") == 1  # flat recorder
     assert [s["name"] for s in ctx.tracer.snapshot()["spans"]] == ["work"]
     hist = ctx.metrics.histogram(SPAN_SECONDS, span="work")
     assert hist.count == 1
@@ -87,6 +86,18 @@ def test_observe_without_registry_is_a_single_none_check():
     statements = [ln.strip() for ln in body.splitlines() if ln.strip()]
     assert statements[0] == "if self.metrics is None:"
     assert statements[1] == "return"
+
+
+def test_span_without_telemetry_is_one_shared_noop(monkeypatch):
+    """No tracer, registry or sink: ``span`` allocates and records nothing."""
+    ctx = SolveContext()
+    assert ctx.span("a") is ctx.span("b")
+    fail = lambda *a, **k: pytest.fail("telemetry touched on the disabled path")  # noqa: E731
+    monkeypatch.setattr(MetricsRegistry, "histogram", fail)
+    monkeypatch.setattr(Tracer, "span", fail)
+    with ctx.span("a"):
+        with ctx.span("b"):
+            pass
 
 
 def test_observe_and_emit_trace_are_noops_without_telemetry(monkeypatch):

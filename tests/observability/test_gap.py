@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.problem import ALPHA
-from repro.observability import GapMonitor, MemorySink
+from repro.observability import GapMonitor
 
 
 def test_default_threshold_is_the_papers_alpha():
@@ -13,26 +13,26 @@ def test_default_threshold_is_the_papers_alpha():
 
 
 def test_healthy_steps_do_not_alert():
-    sink = MemorySink()
-    mon = GapMonitor(sink=sink)
+    mon = GapMonitor()
     for ratio in (1.0, 0.95, ALPHA):
         assert mon.observe(ratio, 1.0) is None
-    assert sink.of_type("gap_alert") == []
     stats = mon.stats()
     assert stats["ok"] and stats["breaches"] == 0 and stats["steps"] == 3
     assert stats["min_ratio"] == pytest.approx(ALPHA)
 
 
 def test_breach_emits_structured_alert_with_context():
-    sink = MemorySink()
-    mon = GapMonitor(sink=sink)
+    mon = GapMonitor()
     alert = mon.observe(0.5, 1.0, version=42)
-    assert alert is not None
-    assert alert["type"] == "gap_alert"
-    assert alert["ratio"] == pytest.approx(0.5)
-    assert alert["threshold"] == pytest.approx(ALPHA)
-    assert alert["version"] == 42
-    assert sink.of_type("gap_alert") == [alert]
+    assert alert == {
+        "type": "gap_alert",
+        "ratio": 0.5,
+        "threshold": pytest.approx(ALPHA),
+        "utility": 0.5,
+        "bound": 1.0,
+        "breaches": 1,
+        "version": 42,
+    }
     stats = mon.stats()
     assert not stats["ok"] and stats["breaches"] == 1
 

@@ -1,7 +1,6 @@
-"""Counters, spans and sinks — the observability building blocks."""
+"""Counters and sinks — the observability building blocks."""
 
 import json
-import time
 
 import pytest
 
@@ -10,8 +9,8 @@ from repro.observability import (
     EventSink,
     JsonlSink,
     MemorySink,
-    NullSink,
-    SpanRecorder,
+    TeeSink,
+    tee_sinks,
 )
 
 
@@ -20,7 +19,9 @@ from repro.observability import (
 
 def test_counters_mapping_semantics():
     c = Counters()
-    assert c["anything"] == 0
+    with pytest.raises(KeyError):
+        c["anything"]
+    assert c.get("anything", 0) == 0
     c.add("a")
     c.add("a", 2)
     c.add("b", 5)
@@ -48,39 +49,26 @@ def test_counters_merge():
     assert a.snapshot() == {"x": 3, "y": 3}
 
 
-# -- spans --------------------------------------------------------------------
-
-
-def test_span_recorder_accumulates_per_name():
-    rec = SpanRecorder()
-    with rec.span("work"):
-        time.sleep(0.002)
-    with rec.span("work"):
-        time.sleep(0.002)
-    with rec.span("other"):
-        pass
-    assert rec.count("work") == 2
-    assert rec.count("other") == 1
-    assert rec.total("work") >= 0.003
-    snap = rec.snapshot()
-    assert set(snap) == {"work", "other"}
-    assert snap["work"]["count"] == 2
-    assert snap["work"]["total"] == pytest.approx(rec.total("work"))
-
-
-def test_span_recorder_unknown_name_is_zero():
-    rec = SpanRecorder()
-    assert rec.total("never") == 0.0
-    assert rec.count("never") == 0
-
-
 # -- sinks --------------------------------------------------------------------
 
 
 def test_null_and_memory_sinks_satisfy_protocol():
-    assert isinstance(NullSink(), EventSink)
+    # The null sink is no sink at all: owners hold ``None`` and skip emitting.
+    assert tee_sinks(None) is None
     assert isinstance(MemorySink(), EventSink)
-    NullSink().emit({"type": "x"})  # no-op, no error
+    assert isinstance(TeeSink(MemorySink()), EventSink)
+
+
+def test_tee_sinks_is_none_the_sink_or_a_tee_in_order():
+    a, b = MemorySink(), MemorySink()
+    assert tee_sinks() is None
+    assert tee_sinks(None, None) is None
+    assert tee_sinks(None, a) is a
+    assert tee_sinks(a, None) is a
+    both = tee_sinks(a, None, b)
+    assert isinstance(both, TeeSink) and both.sinks == (a, b)
+    both.emit({"type": "x"})
+    assert list(a.events) == list(b.events) == [{"type": "x"}]
 
 
 def test_memory_sink_filters_by_type():
@@ -117,33 +105,6 @@ def test_jsonl_sink_appends_and_accepts_file_objects(tmp_path):
     buf = io.StringIO()
     JsonlSink(buf).emit({"k": 3})
     assert json.loads(buf.getvalue()) == {"k": 3}
-
-
-def test_span_recorder_merge_recorder_and_snapshot():
-    a, b = SpanRecorder(), SpanRecorder()
-    with a.span("work"):
-        time.sleep(0.001)
-    with b.span("work"):
-        time.sleep(0.001)
-    with b.span("other"):
-        pass
-    total_before = a.total("work")
-    a.merge(b)  # merge a live recorder
-    assert a.count("work") == 2
-    assert a.total("work") == pytest.approx(total_before + b.total("work"))
-    assert a.count("other") == 1
-    c = SpanRecorder()
-    c.merge(a.snapshot())  # merging a snapshot dict is lossless
-    assert c.snapshot() == a.snapshot()
-
-
-def test_span_recorder_merge_accumulates_into_existing_timer():
-    rec = SpanRecorder()
-    with rec.span("work"):
-        pass
-    rec.merge({"work": {"total": 1.5, "count": 3.0}})
-    assert rec.count("work") == 4
-    assert rec.total("work") >= 1.5
 
 
 def test_jsonl_sink_concurrent_emits_produce_whole_lines(tmp_path):
@@ -200,14 +161,3 @@ def test_memory_sink_unbounded_never_drops():
 def test_memory_sink_rejects_silly_maxlen():
     with pytest.raises(ValueError):
         MemorySink(maxlen=0)
-
-
-def test_timer_add_rejects_negative():
-    from repro.utils.timing import Timer
-
-    t = Timer()
-    with pytest.raises(ValueError):
-        t.add(-0.1)
-    t.add(0.25, count=2)
-    assert t.total == pytest.approx(0.25)
-    assert t.count == 2

@@ -277,7 +277,7 @@ def test_fleet_gap_alert_points_at_the_binding_shard():
     sink = MemorySink()
     shards = [_eager_shard() for _ in range(2)]
     fleet = FleetCoordinator(
-        shards, gap=GapMonitor(threshold=1.5, sink=sink)  # impossible bar
+        shards, sink=sink, gap=GapMonitor(threshold=1.5)  # impossible bar
     )
     ids = _shard_ids(fleet)
     resps = fleet.process(

@@ -30,36 +30,7 @@ def test_reusable():
     assert t.elapsed != first or first > 0
 
 
-def test_total_accumulates_across_uses():
-    t = Timer()
-    with t:
-        time.sleep(0.005)
-    with t:
-        time.sleep(0.005)
-    assert t.count == 2
-    assert t.total >= t.elapsed
-    assert t.total >= 0.008
-
-
-def test_nested_enter_raises():
-    t = Timer()
-    with t:
-        with pytest.raises(RuntimeError, match="already running"):
-            with t:
-                pass  # pragma: no cover - never reached
-    # The outer interval still completed cleanly.
-    assert t.count == 1
-    assert not t.running
-
-
 def test_exit_without_enter_raises():
     with pytest.raises(RuntimeError, match="never started"):
         Timer().__exit__(None, None, None)
 
-
-def test_running_property():
-    t = Timer()
-    assert not t.running
-    with t:
-        assert t.running
-    assert not t.running
