@@ -159,16 +159,67 @@ def cmd_solvers(args) -> int:
     return 0
 
 
-def _arm_flight_recorder(flight, path) -> None:
-    """SIGUSR1 → dump the flight ring to ``path`` (postmortem on demand)."""
+def _run_daemon(args, build, save) -> int:
+    """Serve one front door over TCP until Ctrl-C or SIGTERM, then save it.
+
+    ``build(sink, flight)`` gets the ``--trace`` JSONL sink and the
+    ``--flight-dump`` recorder (each ``None`` when not asked for) and
+    returns ``(front, name, detail)``: the
+    :class:`~repro.service.AllocationService` or
+    :class:`~repro.service.FleetCoordinator` to serve and the words the
+    banner names it with.  ``save(front)`` writes ``--snapshot`` on the
+    way out, whether Ctrl-C or a supervisor's SIGTERM stopped the loop.
+    """
     import os
     import signal
 
-    def _dump(signum, frame):
-        flight.dump(path)
+    from repro.observability import FlightRecorder, JsonlSink
+    from repro.service import MetricsHttpServer, TcpServer
 
-    signal.signal(signal.SIGUSR1, _dump)
-    print(f"flight recorder armed: kill -USR1 {os.getpid()} dumps to {path}")
+    sink = JsonlSink(args.trace) if args.trace else None
+    flight = FlightRecorder() if args.flight_dump else None
+    front, name, detail = build(sink, flight)
+    if flight is not None:
+        # SIGUSR1 → dump the flight ring (postmortem on demand).
+        signal.signal(signal.SIGUSR1, lambda signum, frame: flight.dump(args.flight_dump))
+        print(f"flight recorder armed: kill -USR1 {os.getpid()} dumps to {args.flight_dump}")
+    server = TcpServer(
+        front, host=args.host, port=args.port, coalesce_window_s=args.coalesce_window
+    )
+    httpd = None
+    if args.metrics_port is not None:
+        httpd = MetricsHttpServer(
+            front,
+            host=args.host,
+            port=args.metrics_port,
+            lock=server.lock,
+            flight_dump_path=args.flight_dump or None,
+        ).start()
+        print(f"metrics on http://{httpd.host}:{httpd.port}/metrics (health: /healthz)")
+
+    def _graceful_term(signum, frame):
+        # SIGTERM takes the same shutdown path as Ctrl-C, so the snapshot
+        # still gets written.
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _graceful_term)
+    try:
+        # Flushed: a supervisor reading a pipe waits for this line.
+        print(
+            f"{name} on {server.host}:{server.port} ({detail}); Ctrl-C to stop",
+            flush=True,
+        )
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        if httpd is not None:
+            httpd.stop()
+        if args.snapshot:
+            save(front)
+        if sink is not None:
+            sink.close()
+    return 0
 
 
 def cmd_serve(args) -> int:
@@ -179,83 +230,44 @@ def cmd_serve(args) -> int:
         AllocationService,
         ClusterState,
         ReplanPolicy,
-        TcpServer,
         load_snapshot,
         save_snapshot,
     )
 
-    if args.snapshot and Path(args.snapshot).exists():
-        state = load_snapshot(args.snapshot)
-        print(
-            f"warm restart from {args.snapshot}: version {state.version}, "
-            f"{state.n_threads} threads on {state.n_servers} servers"
+    def build(sink, flight):
+        if args.snapshot and Path(args.snapshot).exists():
+            state = load_snapshot(args.snapshot)
+            print(
+                f"warm restart from {args.snapshot}: version {state.version}, "
+                f"{state.n_threads} threads on {state.n_servers} servers"
+            )
+        else:
+            state = ClusterState(
+                args.servers, args.capacity, args.migration_cost, solver=args.solver
+            )
+        service = AllocationService(
+            state,
+            replan_policy=ReplanPolicy(
+                drift_threshold=args.drift,
+                max_staleness=args.staleness if args.staleness > 0 else None,
+                migration_budget=args.migration_budget,
+            ),
+            admission_policy=AdmissionPolicy(
+                min_marginal_utility=args.min_gain, max_queue=args.max_queue
+            ),
+            solve_budget_s=args.budget_s,
+            sink=sink,
+            seed=args.seed,
+            flight=flight,
         )
-    else:
-        state = ClusterState(
-            args.servers, args.capacity, args.migration_cost, solver=args.solver
-        )
-    sink = None
-    if args.trace:
-        from repro.observability import JsonlSink
+        detail = f"{state.n_servers} servers × C={state.capacity:g}"
+        return service, "aart allocation service", detail
 
-        sink = JsonlSink(args.trace)
-    flight = None
-    if args.flight_dump:
-        from repro.observability import FlightRecorder
+    def save(service):
+        save_snapshot(service.state, args.snapshot)
+        print(f"snapshot saved to {args.snapshot} (version {service.state.version})")
 
-        flight = FlightRecorder()
-    service = AllocationService(
-        state,
-        replan_policy=ReplanPolicy(
-            drift_threshold=args.drift,
-            max_staleness=args.staleness if args.staleness > 0 else None,
-            migration_budget=args.migration_budget,
-        ),
-        admission_policy=AdmissionPolicy(
-            min_marginal_utility=args.min_gain, max_queue=args.max_queue
-        ),
-        solve_budget_s=args.budget_s,
-        sink=sink,
-        seed=args.seed,
-        flight=flight,
-    )
-    if flight is not None:
-        _arm_flight_recorder(flight, args.flight_dump)
-    server = TcpServer(
-        service, host=args.host, port=args.port, coalesce_window_s=args.coalesce_window
-    )
-    httpd = None
-    if args.metrics_port is not None:
-        from repro.service import MetricsHttpServer
-
-        httpd = MetricsHttpServer(
-            service,
-            host=args.host,
-            port=args.metrics_port,
-            lock=server.lock,
-            flight_dump_path=args.flight_dump or None,
-        ).start()
-        print(
-            f"metrics on http://{httpd.host}:{httpd.port}/metrics "
-            f"(health: /healthz)"
-        )
-    print(
-        f"aart allocation service on {server.host}:{server.port} "
-        f"({state.n_servers} servers × C={state.capacity:g}); Ctrl-C to stop"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if httpd is not None:
-            httpd.stop()
-        if args.snapshot:
-            save_snapshot(state, args.snapshot)
-            print(f"snapshot saved to {args.snapshot} (version {state.version})")
-        if sink is not None:
-            sink.close()
-    return 0
+    return _run_daemon(args, build, save)
 
 
 def _parse_endpoints(spec: str, default_port: int) -> list[tuple[str, int]]:
@@ -450,7 +462,6 @@ def cmd_fleet(args) -> int:
 
 
 def _fleet_serve(args) -> int:
-    import signal
     from pathlib import Path
 
     from repro.service import (
@@ -458,88 +469,42 @@ def _fleet_serve(args) -> int:
         ClusterState,
         FleetCoordinator,
         FleetPolicy,
-        MetricsHttpServer,
-        TcpServer,
         load_fleet_snapshot,
         save_fleet_snapshot,
     )
 
-    sink = None
-    if args.trace:
-        from repro.observability import JsonlSink
-
-        sink = JsonlSink(args.trace)
-    flight = None
-    if args.flight_dump:
-        from repro.observability import FlightRecorder
-
-        flight = FlightRecorder()
-    policy = FleetPolicy(
-        rebalance_interval=args.rebalance_interval or None,
-        imbalance_threshold=args.imbalance,
-        migration_budget=args.migration_budget,
-    )
-    if args.snapshot and Path(args.snapshot).exists():
-        fleet = load_fleet_snapshot(
-            args.snapshot, policy=policy, sink=sink, flight=flight
+    def build(sink, flight):
+        policy = FleetPolicy(
+            rebalance_interval=args.rebalance_interval or None,
+            imbalance_threshold=args.imbalance,
+            migration_budget=args.migration_budget,
         )
-        print(
-            f"warm restart from {args.snapshot}: {fleet.n_shards} shards, "
-            f"{fleet.n_threads} threads"
-        )
-    else:
-        shards = [
-            AllocationService(
-                ClusterState(
-                    args.servers_per_shard, args.capacity, solver=args.solver
-                ),
-                seed=args.seed + k,
+        if args.snapshot and Path(args.snapshot).exists():
+            fleet = load_fleet_snapshot(
+                args.snapshot, policy=policy, sink=sink, flight=flight
             )
-            for k in range(args.shards)
-        ]
-        fleet = FleetCoordinator(shards, policy=policy, sink=sink, flight=flight)
-    if flight is not None:
-        _arm_flight_recorder(flight, args.flight_dump)
-    server = TcpServer(
-        fleet, host=args.host, port=args.port, coalesce_window_s=args.coalesce_window
-    )
-    httpd = None
-    if args.metrics_port is not None:
-        httpd = MetricsHttpServer(
-            fleet,
-            host=args.host,
-            port=args.metrics_port,
-            lock=server.lock,
-            flight_dump_path=args.flight_dump or None,
-        ).start()
-        print(
-            f"fleet metrics on http://{httpd.host}:{httpd.port}/metrics "
-            f"(health: /healthz)"
-        )
-    print(
-        f"aart fleet coordinator on {server.host}:{server.port} "
-        f"({fleet.n_shards} shards); Ctrl-C to stop"
-    )
+            print(
+                f"warm restart from {args.snapshot}: {fleet.n_shards} shards, "
+                f"{fleet.n_threads} threads"
+            )
+        else:
+            shards = [
+                AllocationService(
+                    ClusterState(
+                        args.servers_per_shard, args.capacity, solver=args.solver
+                    ),
+                    seed=args.seed + k,
+                )
+                for k in range(args.shards)
+            ]
+            fleet = FleetCoordinator(shards, policy=policy, sink=sink, flight=flight)
+        return fleet, "aart fleet coordinator", f"{fleet.n_shards} shards"
 
-    def _graceful_term(signum, frame):
-        # SIGTERM (e.g. from a supervisor) takes the same shutdown path
-        # as Ctrl-C so the fleet snapshot still gets written.
-        raise KeyboardInterrupt
+    def save(fleet):
+        save_fleet_snapshot(fleet, args.snapshot)
+        print(f"fleet snapshot saved to {args.snapshot}")
 
-    signal.signal(signal.SIGTERM, _graceful_term)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if httpd is not None:
-            httpd.stop()
-        if args.snapshot:
-            save_fleet_snapshot(fleet, args.snapshot)
-            print(f"fleet snapshot saved to {args.snapshot}")
-        if sink is not None:
-            sink.close()
-    return 0
+    return _run_daemon(args, build, save)
 
 
 def _hist_quantile(inst: dict, q: float) -> float:

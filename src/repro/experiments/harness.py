@@ -184,8 +184,9 @@ def _batch_precheck_reason(ctx: SolveContext, include_alg1: bool) -> str | None:
     cannot replay per-trial telemetry streams — so an attached tracer,
     metrics registry or event sink forces the scalar path; so do contenders without a registered ``batch_fn`` (ALG1).
     The remaining blocker — a utility family without an array evaluation
-    contract — needs a generated instance; see
-    :func:`_batch_unsupported_reason`.
+    contract — needs a generated instance: :func:`_run_trial_chunk` tests
+    its probe instance's
+    :attr:`~repro.utility.batch.UtilityBatch.supports_vectorized`.
     """
     if ctx.tracer is not None or ctx.metrics is not None or ctx.sink is not None:
         return "per-trial telemetry attached (tracer/metrics/sink)"
@@ -196,24 +197,6 @@ def _batch_precheck_reason(ctx: SolveContext, include_alg1: bool) -> str | None:
     missing = [s.name for s in list_solvers(kind="heuristic") if not s.supports_batch]
     if missing:
         return f"heuristics without batch_fn: {', '.join(missing)}"
-    return None
-
-
-def _batch_unsupported_reason(
-    problem: AAProblem, ctx: SolveContext, include_alg1: bool
-) -> str | None:
-    """Why this chunk cannot run on the batch backend (``None`` = it can).
-
-    Combines :func:`_batch_precheck_reason` with the per-instance family
-    check: utility families without an array evaluation contract
-    (:attr:`~repro.utility.batch.UtilityBatch.supports_vectorized` is
-    false, e.g. ``GenericBatch``/pchip) fall back to the scalar loop.
-    """
-    reason = _batch_precheck_reason(ctx, include_alg1)
-    if reason is not None:
-        return reason
-    if not problem.utilities.supports_vectorized:
-        return f"{type(problem.utilities).__name__} has no vectorized evaluation"
     return None
 
 
@@ -238,14 +221,14 @@ def _run_batch_chunk(
     blin = linearize_batch(bp, ctx=ctx)
     columns: dict[str, np.ndarray] = {SO: blin.super_optimal_utility}
     alg2_batch = get_solver("alg2").batch_fn
-    assert alg2_batch is not None  # _batch_unsupported_reason vetted this
+    assert alg2_batch is not None  # vetted by _batch_precheck_reason
     raw2 = alg2_batch(bp, blin, ctx, rngs)
     reclaimed = reclaim_batch(bp, raw2, ctx=ctx)
     columns[ALG2] = reclaimed.total_utilities(bp)
     if task.include_raw:
         columns[ALG2RAW] = raw2.total_utilities(bp)
     for spec in list_solvers(kind="heuristic"):
-        assert spec.batch_fn is not None  # vetted by _batch_unsupported_reason
+        assert spec.batch_fn is not None  # vetted by _batch_precheck_reason
         result = spec.batch_fn(bp, blin if spec.uses_linearization else None, ctx, rngs)
         columns[spec.name] = result.total_utilities(bp)
     names = (SO, ALG2) + ((ALG2RAW,) if task.include_raw else ())
@@ -271,9 +254,9 @@ def _run_trial_chunk(
     ``task.backend`` picks the execution path: ``"scalar"`` is the
     historical per-trial loop, ``"batch"`` demands the array-first
     pipeline (raising when unsupported), and ``"auto"`` uses the batch
-    path whenever the chunk qualifies (see
-    :func:`_batch_unsupported_reason`) — results are bit-identical either
-    way, so ``"auto"`` is purely a throughput decision.
+    path whenever the chunk qualifies (:func:`_batch_precheck_reason`, then
+    the probe instance's ``supports_vectorized``) — results are
+    bit-identical either way, so ``"auto"`` is purely a throughput decision.
     """
     if ctx is None:
         ctx = SolveContext(

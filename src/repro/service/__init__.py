@@ -19,6 +19,14 @@ Typical embedded use::
 
 Over the network, the same requests flow as JSON lines through
 :class:`TcpServer` / :class:`Client` (CLI: ``aart serve`` / ``aart client``).
+
+A :class:`FleetCoordinator` fronts N services with the same protocol.
+Both front doors answer reads through one shared surface
+(:mod:`repro.service.frontdoor`): metrics, ``/healthz``, the flight
+ring, ``QueryFlight`` and ``QueryMetrics`` are written once, and each
+class adds only what differs (the service its version, point reads and
+state snapshot; the coordinator its shard fan-out and composed
+certificate).
 """
 
 from repro.service.api import (

@@ -15,9 +15,13 @@ state, all cheap:
 * the utility of every resident thread (recorded as submissions stream
   through; migrating a thread means re-submitting its utility elsewhere).
 
-Because the coordinator implements ``process`` / ``handle`` /
-``metrics_text`` / ``health``, the existing
-:class:`~repro.service.transport.TcpServer` and
+The coordinator and the service share one read surface,
+:class:`~repro.service.frontdoor.FrontDoor`: ``handle``,
+``metrics_text``, ``health``, ``flight_snapshot`` and the
+``QueryFlight`` / ``QueryMetrics`` answers are written once, and the
+coordinator adds only its per-shard fan-out (shard-labelled metrics,
+shard rings, shard gap monitors) and its composed certificate.  So the
+existing :class:`~repro.service.transport.TcpServer` and
 :class:`~repro.service.httpd.MetricsHttpServer` front it unchanged — a
 fleet looks exactly like a bigger service.
 
@@ -46,7 +50,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.observability import (
     FLEET_BOUND,
@@ -59,19 +63,13 @@ from repro.observability import (
     FLEET_STEPS,
     FLEET_THREADS,
     FLEET_UTILITY,
-    REQUEST_PHASE_SECONDS,
     SHARD_LABEL,
-    Counters,
     EventSink,
     FlightRecorder,
     GapMonitor,
     MetricsRegistry,
     Tracer,
-    counters_to_snapshot,
-    merge_snapshots,
     relabel_snapshot,
-    render_prometheus,
-    tee_sinks,
 )
 from repro.serialization import utility_from_dict
 from repro.service.api import (
@@ -94,12 +92,8 @@ from repro.service.fleet.certificate import (
     compose_certificates,
 )
 from repro.service.fleet.router import ShardRouter
-from repro.service.server import (
-    _PHASE_HELP,
-    AllocationService,
-    _attach_trace,
-    _batch_tracer,
-)
+from repro.service.frontdoor import FrontDoor
+from repro.service.server import AllocationService
 from repro.service.transport import InProcessTransport
 
 
@@ -175,7 +169,19 @@ def _residual_fraction(status: dict[str, Any]) -> float:
     return _residual(status) / total
 
 
-class FleetCoordinator:
+def _accepted(k: int, resp: Response, what: str) -> dict[str, Any]:
+    """A shard reply's payload; a refusal raises."""
+    if not resp.ok:
+        raise RuntimeError(f"shard {k} refused {what}: {resp.error}")
+    return resp.data
+
+
+def _with_shard(resp: Response, shard: int) -> Response:
+    """A shard's reply stamped with its shard (a ferried trace is dropped)."""
+    return Response(resp.ok, resp.op, {**resp.data, "shard": shard}, resp.error, resp.request_id)
+
+
+class FleetCoordinator(FrontDoor):
     """Routes the allocation-service protocol across N shards.
 
     Parameters
@@ -239,12 +245,7 @@ class FleetCoordinator:
                 f"{len(transports)} transports were given"
             )
         self.policy = policy or FleetPolicy()
-        self.flight = flight
-        #: The one sink every event goes to (``None`` when none is attached).
-        self._sink = tee_sinks(sink, flight)
-        self.counters = Counters()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.gap = gap if gap is not None else GapMonitor()
+        super().__init__(sink, metrics, gap, flight)
         self._lock = threading.Lock()
         self._location: dict[str, int] = {}
         self._utilities: dict[str, Any] = {}
@@ -272,6 +273,12 @@ class FleetCoordinator:
         with self._lock:
             return self._location.get(thread_id)
 
+    def _fan_out(self, request: Request) -> Iterator[tuple[int, Response]]:
+        """``(k, reply)`` from each shard in turn, refusals included: the
+        caller decides what a refusal means."""
+        for k, transport in enumerate(self.transports):
+            yield k, transport.request(request)[0]
+
     def sync_from_shards(self) -> None:
         """Rebuild the location/utility maps from shard snapshots.
 
@@ -280,11 +287,8 @@ class FleetCoordinator:
         """
         location: dict[str, int] = {}
         utilities: dict[str, Any] = {}
-        for k, transport in enumerate(self.transports):
-            resp = transport.request(Snapshot())[0]
-            if not resp.ok:
-                raise RuntimeError(f"shard {k} refused snapshot: {resp.error}")
-            for entry in resp.data["state"]["scheduler"]["threads"]:
+        for k, resp in self._fan_out(Snapshot()):
+            for entry in _accepted(k, resp, "snapshot")["state"]["scheduler"]["threads"]:
                 tid = entry["id"]
                 if tid in location:
                     raise RuntimeError(
@@ -300,13 +304,7 @@ class FleetCoordinator:
 
     def _gather_statuses(self) -> list[dict[str, Any]]:
         """One status dict per shard (a read round per shard)."""
-        statuses: list[dict[str, Any]] = []
-        for k, transport in enumerate(self.transports):
-            resp = transport.request(QueryAssignment())[0]
-            if not resp.ok:
-                raise RuntimeError(f"shard {k} refused status: {resp.error}")
-            statuses.append(resp.data)
-        return statuses
+        return [_accepted(k, r, "status") for k, r in self._fan_out(QueryAssignment())]
 
     def _certify(self, statuses: Sequence[dict[str, Any]]) -> FleetCertificate:
         """Compose the fleet certificate and refresh gauges + gap monitor."""
@@ -343,15 +341,13 @@ class FleetCoordinator:
             # A breach alert points at the binding shard (min ratio), using
             # the same label key the shard-relabeled exposition uses.
             min_shard = cert.min_shard
-            alert = self.gap.observe(
+            self._observe_gap(
                 cert.utility,
                 cert.bound,
                 step=self.steps,
                 fleet=True,
                 **({SHARD_LABEL: str(min_shard)} if min_shard is not None else {}),
             )
-            if alert is not None and self._sink is not None:
-                self._sink.emit(alert)
         with self._lock:
             self.last_certificate = cert
         return cert
@@ -379,12 +375,12 @@ class FleetCoordinator:
         ferried back to the client — one stitched tree across all three
         processes.  The untraced path stays a single ``None`` check.
         """
-        tracer = _batch_tracer(self.metrics, requests, transport_info)
+        tracer = self._batch_tracer(requests, transport_info)
         if tracer is None:
             return self._process(requests, None)
         with tracer.span("fleet.process", n=len(requests)):
             slots = self._process(requests, tracer)
-        _attach_trace(self.metrics, requests, slots, tracer)
+        self._attach_trace(requests, slots, tracer)
         return slots  # type: ignore[arg-type]
 
     def _process(
@@ -429,9 +425,7 @@ class FleetCoordinator:
                 else:
                     read_slots.append(i)
 
-        self.metrics.histogram(
-            REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="batch", phase="route"
-        ).observe(time.monotonic() - t_route)
+        self._observe_phase("batch", "route", time.monotonic() - t_route)
         mutated = bool(shard_writes) or bool(broadcasts) or bool(rebalance_slots)
 
         # Phase 1: one coalesced batch per shard (its writes + broadcasts),
@@ -448,13 +442,9 @@ class FleetCoordinator:
             batch.append(QueryAssignment())
             t_shard = time.monotonic()
             replies = self._dispatch(shard, batch, tracer)
-            self.metrics.histogram(
-                REQUEST_PHASE_SECONDS,
-                help=_PHASE_HELP,
-                op="batch",
-                phase="dispatch",
-                **{SHARD_LABEL: str(shard)},
-            ).observe(time.monotonic() - t_shard)
+            self._observe_phase(
+                "batch", "dispatch", time.monotonic() - t_shard, **{SHARD_LABEL: str(shard)}
+            )
             for i, resp in zip(idxs, replies):
                 slots[i] = self._record_write(requests[i], resp, shard)
             for i, resp in zip(broadcasts, replies[len(idxs):-1]):
@@ -510,9 +500,7 @@ class FleetCoordinator:
                     statuses = list(self._gather_statuses())
                     known = [s for s in statuses if s is not None]
                 cert = self._certify(known)
-            self.metrics.histogram(
-                REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="batch", phase="certify"
-            ).observe(time.monotonic() - t_cert)
+            self._observe_phase("batch", "certify", time.monotonic() - t_cert)
             if self._sink is not None:
                 self._sink.emit(
                     {
@@ -531,10 +519,6 @@ class FleetCoordinator:
             slots[i] = self._handle_read(requests[i])
         assert all(r is not None for r in slots)
         return slots  # type: ignore[return-value]
-
-    def handle(self, request: Request) -> Response:
-        """Serve one request on its own (a batch of one)."""
-        return self.process([request])[0]
 
     def request(self, *requests: Request) -> list[Response]:
         """Transport-compatible alias: a coordinator can shard coordinators."""
@@ -580,13 +564,7 @@ class FleetCoordinator:
             with self._lock:
                 self._location.pop(req.thread_id, None)
                 self._utilities.pop(req.thread_id, None)
-        return Response(
-            ok=resp.ok,
-            op=resp.op,
-            data={**resp.data, "shard": shard},
-            error=resp.error,
-            request_id=resp.request_id,
-        )
+        return _with_shard(resp, shard)
 
     def _merge_broadcast(self, req: Request, replies: list[Response]) -> Response:
         """One response for a request applied to every shard."""
@@ -800,57 +778,48 @@ class FleetCoordinator:
             "counters": self.counters.snapshot(),
         }
 
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Fleet instruments + every shard's snapshot, shard-labeled.
+    def _extra_snapshots(self) -> list[dict[str, Any]]:
+        """Every shard's metrics snapshot, shard-labeled.
 
         Each shard's instruments are stamped with
         ``{SHARD_LABEL}="<k>"`` via
         :func:`~repro.observability.relabel_snapshot`, so N shards'
-        identically-named canonical series coexist in one scrape;
-        fleet-level gauges and lifetime counters ride alongside
-        unlabeled.
+        identically-named canonical series coexist in one scrape beside
+        the fleet-level gauges and lifetime counters (unlabeled).  A
+        shard that refuses is left out.
         """
-        shard_snaps: list[dict[str, Any]] = []
-        for k, transport in enumerate(self.transports):
-            resp = transport.request(QueryMetrics())[0]
-            if not resp.ok:
-                continue
-            shard_snaps.append(
-                relabel_snapshot(resp.data["metrics"], **{SHARD_LABEL: str(k)})
-            )
-        return merge_snapshots(
-            self.metrics.snapshot(),
-            counters_to_snapshot(self.counters.snapshot()),
-            *shard_snaps,
-        )
+        return [
+            relabel_snapshot(resp.data["metrics"], **{SHARD_LABEL: str(k)})
+            for k, resp in self._fan_out(QueryMetrics())
+            if resp.ok
+        ]
 
-    def metrics_text(self) -> str:
-        """Everything :meth:`metrics_snapshot` holds, in Prometheus text."""
-        return render_prometheus(self.metrics_snapshot())
+    def _extra_flight(self) -> dict[str, Any]:
+        """Every shard's ring under ``shards``, beside the coordinator's.
 
-    def health(self) -> dict[str, Any]:
-        """Fleet liveness + guarantee summary for ``/healthz``.
-
-        ``status`` is ``"ok"`` only while the composed certificate has
-        never breached α at the fleet level *and* no shard's own gap
-        monitor has recorded a breach — ``/healthz`` covers the whole
-        fleet.
+        A shard without a recorder (or that refuses) contributes ``None``.
         """
+        return {
+            "shards": [
+                resp.data.get("flight") if resp.ok else None
+                for _, resp in self._fan_out(QueryFlight())
+            ]
+        }
+
+    def _identity(self) -> dict[str, Any]:
+        return {"fleet": True, "n_shards": self.n_shards}
+
+    def _health_fields(self) -> tuple[bool, dict[str, Any]]:
+        """``/healthz`` covers the whole fleet: every shard's own gap
+        monitor must be clean too (a refusing shard counts as not ok)."""
         shard_gaps: list[dict[str, Any]] = []
-        shards_ok = True
-        for k, transport in enumerate(self.transports):
-            resp = transport.request(QueryMetrics())[0]
+        for k, resp in self._fan_out(QueryMetrics()):
             gap = resp.data.get("gap", {}) if resp.ok else {}
-            ok = bool(gap.get("ok", False)) if resp.ok else False
-            shards_ok = shards_ok and ok
+            ok = resp.ok and bool(gap.get("ok", False))
             shard_gaps.append({"shard": k, "ok": ok, "gap": gap})
-        fleet_gap = self.gap.stats()
         with self._lock:
             cert = self.last_certificate
-        return {
-            "status": "ok" if (fleet_gap["ok"] and shards_ok) else "degraded",
-            "fleet": True,
-            "n_shards": self.n_shards,
+        return all(s["ok"] for s in shard_gaps), {
             "n_threads": self.n_threads,
             "steps": self.steps,
             "migrations": self.migrations,
@@ -859,30 +828,11 @@ class FleetCoordinator:
                 cert.bound if cert is not None and cert.complete else None
             ),
             "certificate": cert.to_dict() if cert is not None else None,
-            "gap": fleet_gap,
             "shards": shard_gaps,
         }
 
-    def flight_snapshot(self) -> dict[str, Any] | None:
-        """The coordinator's flight ring (``None`` when none is attached)."""
-        return self.flight.snapshot() if self.flight is not None else None
-
-    def _handle_read(self, req: Request) -> Response:
-        if isinstance(req, QueryFlight):
-            if self.flight is None:
-                return Response.failure(
-                    req.op, "no flight recorder attached", request_id=req.request_id
-                )
-            shard_flights: list[dict[str, Any] | None] = []
-            for transport in self.transports:
-                resp = transport.request(QueryFlight())[0]
-                shard_flights.append(resp.data.get("flight") if resp.ok else None)
-            return Response.success(
-                req.op,
-                request_id=req.request_id,
-                flight=self.flight.snapshot(),
-                shards=shard_flights,
-            )
+    def _read(self, req: Request) -> Response:
+        """Status, point reads (asked of the owning shard), fleet snapshots."""
         if isinstance(req, QueryAssignment) and req.thread_id is not None:
             shard = self.locate(req.thread_id)
             if shard is None:
@@ -891,27 +841,9 @@ class FleetCoordinator:
                     f"unknown thread {req.thread_id!r}",
                     request_id=req.request_id,
                 )
-            resp = self.transports[shard].request(req)[0]
-            return Response(
-                ok=resp.ok,
-                op=resp.op,
-                data={**resp.data, "shard": shard},
-                error=resp.error,
-                request_id=resp.request_id,
-            )
+            return _with_shard(self.transports[shard].request(req)[0], shard)
         if isinstance(req, QueryAssignment):
             return Response.success(req.op, request_id=req.request_id, **self.status())
-        if isinstance(req, QueryMetrics):
-            from repro.observability import strip_partials
-
-            return Response.success(
-                req.op,
-                request_id=req.request_id,
-                metrics=strip_partials(self.metrics_snapshot()),
-                gap=self.gap.stats(),
-                fleet=True,
-                n_shards=self.n_shards,
-            )
         if isinstance(req, Snapshot):
             from repro.service.fleet.snapshot import (
                 fleet_snapshot_to_dict,
@@ -934,10 +866,4 @@ class FleetCoordinator:
 
     def shard_states(self) -> list[dict[str, Any]]:
         """Every shard's state dict (one ``Snapshot`` round per shard)."""
-        states: list[dict[str, Any]] = []
-        for k, transport in enumerate(self.transports):
-            resp = transport.request(Snapshot())[0]
-            if not resp.ok:
-                raise RuntimeError(f"shard {k} refused snapshot: {resp.error}")
-            states.append(resp.data["state"])
-        return states
+        return [_accepted(k, r, "snapshot")["state"] for k, r in self._fan_out(Snapshot())]

@@ -13,8 +13,11 @@ front of an :class:`~repro.service.server.AllocationService` or a
   :class:`~repro.observability.GapMonitor` statistics; the status code is
   200 while no certified step has ever breached the α guarantee and 503
   afterwards, so a plain HTTP check doubles as a correctness alarm;
-* ``GET /debug/flight`` — the service's flight-recorder ring as an
-  ``aart-flight/1`` JSON document (404 when no recorder is attached).
+* ``GET /debug/flight`` — the flight-recorder ring as an
+  ``aart-flight/1`` JSON document (404 when no recorder is attached);
+  a coordinator's document carries every shard's ring under
+  ``shards``, exactly what ``QueryFlight`` returns, since both read
+  :meth:`~repro.service.frontdoor.FrontDoor.flight_snapshot`.
 
 When constructed with ``flight_dump_path``, the first ``/healthz`` probe
 that observes a degraded status also dumps the flight ring to that path —
@@ -40,9 +43,10 @@ from repro.observability import PROMETHEUS_CONTENT_TYPE
 class Introspectable(Protocol):
     """Anything exposing Prometheus text and a health summary.
 
-    Satisfied by :class:`~repro.service.server.AllocationService` and
-    :class:`~repro.service.fleet.coordinator.FleetCoordinator`, so one
-    sidecar design covers a shard and a whole fleet.
+    Satisfied by :class:`~repro.service.frontdoor.FrontDoor`, the read
+    surface :class:`~repro.service.server.AllocationService` and
+    :class:`~repro.service.fleet.coordinator.FleetCoordinator` share, so
+    one sidecar design covers a shard and a whole fleet.
     """
 
     def metrics_text(self) -> str: ...

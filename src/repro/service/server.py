@@ -28,8 +28,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from dataclasses import replace
-
 from repro.engine import LinearizationCache, SolveContext, SolveTimeout
 from repro.observability import (
     GAUGE_BOUND,
@@ -38,7 +36,6 @@ from repro.observability import (
     GAUGE_UTILITY,
     QUEUE_DEPTH,
     REQUEST_LATENCY,
-    REQUEST_PHASE_SECONDS,
     SERVER_RESIDUAL,
     SERVICE_ADMISSION_REJECTS,
     SERVICE_ARRIVALS,
@@ -48,24 +45,15 @@ from repro.observability import (
     SERVICE_REQUESTS,
     SERVICE_STEPS,
     STEP_SECONDS,
-    Counters,
     EventSink,
     FlightRecorder,
     GapMonitor,
     MetricsRegistry,
     Tracer,
-    counters_to_snapshot,
-    merge_snapshots,
-    render_prometheus,
-    stamp_remote,
-    strip_partials,
-    tee_sinks,
 )
 from repro.service.api import (
     MUTATING_OPS,
     QueryAssignment,
-    QueryFlight,
-    QueryMetrics,
     Rebalance,
     RemoveThread,
     Request,
@@ -73,80 +61,14 @@ from repro.service.api import (
     Snapshot,
     SubmitThread,
     UpdateCapacity,
-    response_to_dict,
 )
+from repro.service.frontdoor import FrontDoor
 from repro.service.policy import AdmissionPolicy, ReplanPolicy
 from repro.service.state import ClusterState
 from repro.utils.rng import SeedLike, as_generator
 
 
-_PHASE_HELP = (
-    "Request latency split by phase (queue wait, coalesce wait, solve, serialize)."
-)
-
-
-def _batch_tracer(
-    metrics: MetricsRegistry,
-    requests: list[Request],
-    transport_info: dict[str, Any] | None,
-) -> Tracer | None:
-    """A per-batch tracer when any request is traced, else ``None``.
-
-    Also folds the transport's coalescing wait (when reported) into the
-    phase histogram and — on the traced path — a ``phase.coalesce_wait``
-    span ending at the tracer's epoch.
-    """
-    ctxs = [req.trace for req in requests if req.trace is not None]
-    wait = (transport_info or {}).get("coalesce_wait_s")
-    if wait is not None:
-        metrics.histogram(
-            REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="batch", phase="coalesce_wait"
-        ).observe(float(wait))
-    if not ctxs:
-        return None
-    tracer = Tracer(trace_id=ctxs[0].trace_id)
-    if wait is not None:
-        tracer.record(
-            "phase.coalesce_wait", start=tracer.now - float(wait), duration=float(wait)
-        )
-    return tracer
-
-
-def _attach_trace(
-    metrics: MetricsRegistry,
-    requests: list[Request],
-    slots: list[Response | None],
-    tracer: Tracer,
-) -> None:
-    """Stamp the batch's span snapshot onto each trace's first request.
-
-    Serialization cost is measured here (the traced path encodes the
-    payload once extra) and recorded as the ``serialize`` phase before
-    the snapshot is taken, so the ferried tree includes it.
-    """
-    t0 = time.monotonic()
-    for req, resp in zip(requests, slots):
-        if req.trace is not None and resp is not None:
-            response_to_dict(resp)
-    serialize = time.monotonic() - t0
-    metrics.histogram(
-        REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="batch", phase="serialize"
-    ).observe(serialize)
-    tracer.record("phase.serialize", start=tracer.now - serialize, duration=serialize)
-    snap = tracer.snapshot()
-    stamped: set[str] = set()
-    for k, req in enumerate(requests):
-        ctx = req.trace
-        resp = slots[k]
-        if ctx is None or resp is None or ctx.trace_id in stamped:
-            continue
-        stamped.add(ctx.trace_id)
-        slots[k] = replace(
-            resp, trace=stamp_remote(snap, ctx.trace_id, ctx.parent_span_id)
-        )
-
-
-class AllocationService:
+class AllocationService(FrontDoor):
     """A stateful, batching allocation daemon.
 
     Parameters
@@ -199,13 +121,8 @@ class AllocationService:
         self.replan_policy = replan_policy or ReplanPolicy()
         self.admission_policy = admission_policy or AdmissionPolicy()
         self.solve_budget_s = solve_budget_s
-        self.flight = flight
-        #: The one sink every event goes to (``None`` when none is attached).
-        self._sink = tee_sinks(sink, flight)
-        self.counters = Counters()
+        super().__init__(sink, metrics, gap, flight)
         self.cache = LinearizationCache()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.gap = gap if gap is not None else GapMonitor()
         self._rng = as_generator(seed)
         self._pending: list[tuple[Request, float]] = []
         #: Certification data from the most recent step (may lag mutations
@@ -215,11 +132,6 @@ class AllocationService:
         self.last_certified_version: int | None = None
 
     # -- plumbing ------------------------------------------------------------
-
-    def _observe_gap(self, utility: float, bound: float, **context: Any) -> None:
-        alert = self.gap.observe(utility, bound, **context)
-        if alert is not None and self._sink is not None:
-            self._sink.emit(alert)
 
     def _make_ctx(self, tracer: Tracer | None = None) -> SolveContext:
         return SolveContext(
@@ -353,9 +265,7 @@ class AllocationService:
                 help="Enqueue-to-response latency per mutating op.",
                 op=req.op,
             ).observe(now - t_enq)
-            self.metrics.histogram(
-                REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op=req.op, phase="queue_wait"
-            ).observe(queue_wait)
+            self._observe_phase(req.op, "queue_wait", queue_wait)
             if tracer is not None:
                 tracer.record(
                     "phase.queue_wait",
@@ -375,9 +285,7 @@ class AllocationService:
                         "request_id": req.request_id,
                     }
                 )
-        self.metrics.histogram(
-            REQUEST_PHASE_SECONDS, help=_PHASE_HELP, op="step", phase="solve"
-        ).observe(now - t_start)
+        self._observe_phase("step", "solve", now - t_start)
         self.metrics.histogram(
             STEP_SECONDS, help="Duration of each coalesced service step."
         ).observe(now - t_start)
@@ -409,18 +317,17 @@ class AllocationService:
         self.metrics.gauge(
             GAUGE_UTILITY, help="Total realized utility of the serving state."
         ).set(self.state.total_utility())
-        assignment = self.state.assignment() if self.state.n_threads else None
-        loads = (
-            assignment.server_loads(self.state.n_servers)
-            if assignment is not None
-            else [0.0] * self.state.n_servers
-        )
-        for j, load in enumerate(loads):
+        for j, load in enumerate(self._server_loads()):
             self.metrics.gauge(
                 SERVER_RESIDUAL,
                 help="Unallocated capacity per server.",
                 server=str(j),
-            ).set(self.state.capacity - float(load))
+            ).set(self.state.capacity - load)
+
+    def _server_loads(self) -> list[float]:
+        if not self.state.n_threads:
+            return [0.0] * self.state.n_servers
+        return self.state.assignment().server_loads(self.state.n_servers).tolist()
 
     def _admit(self, req: SubmitThread, ctx: SolveContext) -> Response:
         """Admission-check one submission and greedily place it if accepted."""
@@ -534,19 +441,13 @@ class AllocationService:
 
     def status(self) -> dict[str, Any]:
         """Cluster overview: sizes, utility, last certification, counters."""
-        assignment = self.state.assignment() if self.state.n_threads else None
-        loads = (
-            assignment.server_loads(self.state.n_servers).tolist()
-            if assignment is not None
-            else [0.0] * self.state.n_servers
-        )
         return {
             "version": self.state.version,
             "n_servers": self.state.n_servers,
             "capacity": self.state.capacity,
             "n_threads": self.state.n_threads,
             "total_utility": self.state.total_utility(),
-            "server_loads": loads,
+            "server_loads": self._server_loads(),
             "queue_length": self.queue_length,
             "steps_since_replan": self.state.steps_since_replan,
             "last_bound": self.last_bound,
@@ -555,59 +456,21 @@ class AllocationService:
             "counters": self.counters.snapshot(),
         }
 
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Typed instruments plus lifetime counters as ONE mergeable snapshot."""
-        return merge_snapshots(
-            self.metrics.snapshot(),
-            counters_to_snapshot(self.counters.snapshot()),
-        )
+    def _identity(self) -> dict[str, Any]:
+        return {"version": self.state.version}
 
-    def metrics_text(self) -> str:
-        """Everything :meth:`metrics_snapshot` holds, in Prometheus text format."""
-        return render_prometheus(self.metrics_snapshot())
-
-    def health(self) -> dict[str, Any]:
-        """Liveness + guarantee summary for ``/healthz`` (JSON-ready).
-
-        ``status`` is ``"ok"`` while no certified step has ever breached
-        the α guarantee, ``"degraded"`` afterwards — per Lemma V.3 a
-        breach means a bug, not a hard workload.
-        """
-        gap = self.gap.stats()
-        return {
-            "status": "ok" if gap["ok"] else "degraded",
-            "version": self.state.version,
+    def _health_fields(self) -> tuple[bool, dict[str, Any]]:
+        return True, {
             "n_threads": self.state.n_threads,
             "queue_length": self.queue_length,
             "total_utility": self.state.total_utility(),
             "last_bound": self.last_bound,
             "last_ratio": self.last_ratio,
             "last_certified_version": self.last_certified_version,
-            "gap": gap,
         }
 
-    def flight_snapshot(self) -> dict[str, Any] | None:
-        """The flight recorder's ring (``None`` when none is attached)."""
-        return self.flight.snapshot() if self.flight is not None else None
-
-    def _handle_read(self, req: Request) -> Response:
-        self.counters.add(SERVICE_REQUESTS)
-        if isinstance(req, QueryFlight):
-            if self.flight is None:
-                return Response.failure(
-                    req.op, "no flight recorder attached", request_id=req.request_id
-                )
-            return Response.success(
-                req.op, request_id=req.request_id, flight=self.flight.snapshot()
-            )
-        if isinstance(req, QueryMetrics):
-            return Response.success(
-                req.op,
-                request_id=req.request_id,
-                metrics=strip_partials(self.metrics_snapshot()),
-                gap=self.gap.stats(),
-                version=self.state.version,
-            )
+    def _read(self, req: Request) -> Response:
+        """Status, point reads and state snapshots."""
         if isinstance(req, QueryAssignment):
             if req.thread_id is None:
                 return Response.success(req.op, request_id=req.request_id, **self.status())
@@ -668,7 +531,7 @@ class AllocationService:
         snapshot home in ``Response.trace``; the untraced path stays a
         single ``None`` check per batch.
         """
-        tracer = _batch_tracer(self.metrics, requests, transport_info)
+        tracer = self._batch_tracer(requests, transport_info)
         slots: list[Response | None] = [None] * len(requests)
         queued: list[int] = []
         for k, req in enumerate(requests):
@@ -684,11 +547,8 @@ class AllocationService:
             slots[k] = resp
         for k, req in enumerate(requests):
             if slots[k] is None:
+                self.counters.add(SERVICE_REQUESTS)
                 slots[k] = self._handle_read(req)
         if tracer is not None:
-            _attach_trace(self.metrics, requests, slots, tracer)
+            self._attach_trace(requests, slots, tracer)
         return slots  # type: ignore[return-value]
-
-    def handle(self, request: Request) -> Response:
-        """Serve one request on its own (a batch of one)."""
-        return self.process([request])[0]

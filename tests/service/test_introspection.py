@@ -202,6 +202,45 @@ def test_http_debug_flight_serves_the_ring():
     assert any(e["kind"] == "step" for e in doc["events"])
 
 
+def _flight_service():
+    from repro.observability import FlightRecorder
+
+    return _service(flight=FlightRecorder())
+
+
+def _flight_fleet():
+    from repro.observability import FlightRecorder
+    from repro.service import FleetCoordinator
+
+    shards = [_service(flight=FlightRecorder()) for _ in range(2)]
+    return FleetCoordinator(shards, flight=FlightRecorder())
+
+
+@pytest.mark.parametrize("make_front", [_flight_service, _flight_fleet],
+                         ids=["service", "fleet"])
+def test_debug_flight_and_query_flight_return_the_same_rings(make_front):
+    from repro.service import QueryFlight
+
+    front = make_front()
+    bus = InProcessTransport(front)
+    bus.request(*[SubmitThread(f"t{k}", _util(1 + k)) for k in range(4)])
+    bus.request(Rebalance())
+    bus.request(SubmitThread("late", _util()))
+    with MetricsHttpServer(front, port=0) as httpd:
+        status, _, body = _get(f"http://127.0.0.1:{httpd.port}/debug/flight")
+    resp = bus.request(QueryFlight())[0]
+    assert status == 200 and resp.ok
+    doc = json.loads(body)
+    answer = json.loads(json.dumps(resp.data, sort_keys=True, default=str))
+    assert doc["format"] == answer["flight"]["format"] == "aart-flight/1"
+    assert any(e["kind"] in ("step", "fleet_step") for e in doc["events"])
+    if "shards" in answer:  # a fleet: the shard rings ride beside its own
+        assert len(answer["shards"]) == 2 and all(answer["shards"])
+        assert doc == {**answer["flight"], "shards": answer["shards"]}
+    else:
+        assert doc == answer["flight"]
+
+
 def test_http_debug_flight_404_without_recorder():
     svc = _service()
     with MetricsHttpServer(svc, port=0) as httpd:

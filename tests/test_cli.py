@@ -242,3 +242,43 @@ def test_serve_metrics_port_flag_parses():
                                       "--metrics-port", "9100"])
     assert args.metrics_port == 9100
     assert build_parser().parse_args(["serve"]).metrics_port is None
+
+
+def test_serve_saves_snapshot_on_sigterm(tmp_path):
+    """A supervisor's SIGTERM takes `aart serve` through its shutdown path."""
+    import os
+    import queue
+    import signal
+    import subprocess
+    import sys
+    import threading
+    from pathlib import Path
+
+    from repro.service import load_snapshot
+
+    snap = tmp_path / "svc.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--servers", "2", "--snapshot", str(snap)],
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    lines: queue.Queue = queue.Queue()
+
+    def pump():
+        for line in proc.stdout:
+            lines.put(line)
+
+    threading.Thread(target=pump, daemon=True).start()
+    try:
+        while "Ctrl-C to stop" not in lines.get(timeout=30.0):
+            pass
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
+    state = load_snapshot(str(snap))
+    assert state.n_servers == 2 and state.n_threads == 0
