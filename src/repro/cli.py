@@ -172,20 +172,32 @@ def _run_daemon(args, build, save) -> int:
     """
     import os
     import signal
+    import threading
 
-    from repro.observability import FlightRecorder, JsonlSink
+    from repro.observability import FlightRecorder, JsonlSink, write_flight
     from repro.service import MetricsHttpServer, TcpServer
 
     sink = JsonlSink(args.trace) if args.trace else None
     flight = FlightRecorder() if args.flight_dump else None
     front, name, detail = build(sink, flight)
-    if flight is not None:
-        # SIGUSR1 → dump the flight ring (postmortem on demand).
-        signal.signal(signal.SIGUSR1, lambda signum, frame: flight.dump(args.flight_dump))
-        print(f"flight recorder armed: kill -USR1 {os.getpid()} dumps to {args.flight_dump}")
     server = TcpServer(
         front, host=args.host, port=args.port, coalesce_window_s=args.coalesce_window
     )
+    if flight is not None:
+
+        def dump_flight():
+            with server.lock:
+                doc = front.flight_snapshot()
+            write_flight(doc, args.flight_dump)
+
+        # SIGUSR1 → dump the document /debug/flight serves (postmortem on
+        # demand).  A fleet's asks its shards under the batch lock, which
+        # the interrupted main thread may hold, so a thread writes it.
+        signal.signal(
+            signal.SIGUSR1,
+            lambda signum, frame: threading.Thread(target=dump_flight, daemon=True).start(),
+        )
+        print(f"flight recorder armed: kill -USR1 {os.getpid()} dumps to {args.flight_dump}")
     httpd = None
     if args.metrics_port is not None:
         httpd = MetricsHttpServer(

@@ -263,10 +263,12 @@ def reclaim_batch(
     refill stage is a wall-clock hot spot at n = 10⁵⁺).  ``start``, shape
     ``(trials,)``, seeds the price search of every server of trial ``t``
     at ``start[t]`` instead of 1 — bit-identical to ``water_fill_grouped``
-    per trial with ``start=np.full(m_t, start[t])``.  Price discovery
-    passes each trial's clearing price ``λ*`` (``BatchLinearization.price``);
-    a start that is not positive and finite (a slack pool's 0) falls
-    back to 1.
+    per trial with ``start=np.full(m_t, start[t])``, and so to the scalar
+    :func:`~repro.core.postprocess.reclaim` with ``start=start[t]``.  The
+    sweep harness and price discovery pass each trial's clearing price
+    ``λ*`` (``BatchLinearization.price``), as every scalar caller holding a
+    linearization does; a start that is not positive and finite (a slack
+    pool's 0) falls back to 1.
     """
     T, n = bp.n_trials, bp.n_threads
     if ctx is not None:

@@ -88,7 +88,8 @@ def solve(
         Apply the :mod:`~repro.core.postprocess` reclamation pass (default):
         re-water-fill each server's capacity among its assigned threads.
         Never decreases utility, preserves the α guarantee; disable for the
-        verbatim paper algorithm.  Only applied to solvers whose registry
+        verbatim paper algorithm.  Every server's price search starts at
+        the linearization's clearing price ``λ*``.  Only applied to solvers whose registry
         spec declares reclamation applicable (the raw heuristics opt out).
     ctx:
         Optional :class:`~repro.engine.SolveContext` carrying the RNG,
@@ -113,7 +114,7 @@ def solve(
             lin = linearize(problem)
         assignment = spec.run(problem, lin=lin, ctx=None, seed=None)
         if reclaim and spec.reclaim:
-            assignment = _reclaim(problem, assignment, ctx=None)
+            assignment = _reclaim(problem, assignment, ctx=None, start=lin.price)
     else:
         # One root span covers linearization, the solver and the
         # reclamation pass, so they trace as children of solve.<name>.
@@ -122,7 +123,7 @@ def solve(
                 lin = ctx.linearization(problem)
             assignment = spec.run(problem, lin=lin, ctx=ctx, seed=ctx.rng)
             if reclaim and spec.reclaim:
-                assignment = _reclaim(problem, assignment, ctx=ctx)
+                assignment = _reclaim(problem, assignment, ctx=ctx, start=lin.price)
     assignment.validate(problem)
     return Solution(
         assignment=assignment,

@@ -126,7 +126,9 @@ def run_solver(
     reclaim:
         Apply the utility-preserving reclamation post-pass *if* the
         solver's spec says it applies (paper algorithms yes, raw
-        heuristics no).  Pass ``False`` for the verbatim algorithm.
+        heuristics no).  Pass ``False`` for the verbatim algorithm.  With a
+        linearization in hand, every server's price search starts at its
+        clearing price ``λ*``.
     """
     spec = get_solver(name)
     if ctx is None:
@@ -136,7 +138,8 @@ def run_solver(
         if reclaim and spec.reclaim:
             from repro.core.postprocess import reclaim as _reclaim
 
-            assignment = _reclaim(problem, assignment, ctx=None)
+            start = None if lin is None else lin.price
+            assignment = _reclaim(problem, assignment, ctx=None, start=start)
         return EngineRun(assignment=assignment, linearization=lin, spec=spec)
     # One solve.<name> root span per solve: linearization, solver and
     # reclamation all trace as its children.
@@ -149,7 +152,8 @@ def run_solver(
         if reclaim and spec.reclaim:
             from repro.core.postprocess import reclaim as _reclaim
 
-            assignment = _reclaim(problem, assignment, ctx=ctx)
+            start = None if lin is None else lin.price
+            assignment = _reclaim(problem, assignment, ctx=ctx, start=start)
     return EngineRun(assignment=assignment, linearization=lin, spec=spec)
 
 

@@ -101,12 +101,14 @@ def run_trial(
     lin = ctx.linearization(problem)
     utilities: dict[str, float] = {SO: lin.super_optimal_utility}
     raw2 = get_solver("alg2").run(problem, lin=lin, ctx=ctx)
-    utilities[ALG2] = reclaim(problem, raw2, ctx=ctx).total_utility(problem)
+    utilities[ALG2] = reclaim(problem, raw2, ctx=ctx, start=lin.price).total_utility(problem)
     if include_raw:
         utilities[ALG2RAW] = raw2.total_utility(problem)
     if include_alg1:
         raw1 = get_solver("alg1").run(problem, lin=lin, ctx=ctx)
-        utilities[ALG1] = reclaim(problem, raw1, ctx=ctx).total_utility(problem)
+        utilities[ALG1] = reclaim(problem, raw1, ctx=ctx, start=lin.price).total_utility(
+            problem
+        )
     if heuristics is None:
         for spec in list_solvers(kind="heuristic"):
             utilities[spec.name] = spec.run(problem, ctx=ctx, seed=rng).total_utility(
@@ -223,7 +225,7 @@ def _run_batch_chunk(
     alg2_batch = get_solver("alg2").batch_fn
     assert alg2_batch is not None  # vetted by _batch_precheck_reason
     raw2 = alg2_batch(bp, blin, ctx, rngs)
-    reclaimed = reclaim_batch(bp, raw2, ctx=ctx)
+    reclaimed = reclaim_batch(bp, raw2, ctx=ctx, start=blin.price)
     columns[ALG2] = reclaimed.total_utilities(bp)
     if task.include_raw:
         columns[ALG2RAW] = raw2.total_utilities(bp)

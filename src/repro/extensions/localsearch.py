@@ -179,7 +179,7 @@ def _run_registered(problem, lin, ctx, seed):
     from repro.core.algorithm2 import algorithm2
     from repro.core.postprocess import reclaim
 
-    start = reclaim(problem, algorithm2(problem, lin, ctx=ctx), ctx=ctx)
+    start = reclaim(problem, algorithm2(problem, lin, ctx=ctx), ctx=ctx, start=lin.price)
     return local_search(problem, start, ctx=ctx).assignment
 
 

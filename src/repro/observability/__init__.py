@@ -68,6 +68,7 @@ from repro.observability.flightrecorder import (
     NOTABLE_EVENTS,
     FlightRecorder,
     load_flight,
+    write_flight,
 )
 from repro.observability.gap import GapMonitor
 from repro.observability.metrics import (
@@ -180,6 +181,7 @@ __all__ = [
     "chrome_trace",
     "counters_to_snapshot",
     "load_flight",
+    "write_flight",
     "merge_snapshots",
     "relabel_snapshot",
     "render_json",

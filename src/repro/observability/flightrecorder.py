@@ -126,14 +126,18 @@ class FlightRecorder:
         }
 
     def dump(self, path: str) -> None:
-        """Atomically write the snapshot as JSON (tmp file + rename)."""
-        doc = self.snapshot()
-        directory = os.path.dirname(os.path.abspath(path))
-        tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        os.replace(tmp, path)
+        """Atomically write the snapshot as JSON (see :func:`write_flight`)."""
+        write_flight(self.snapshot(), path)
+
+
+def write_flight(doc: dict[str, Any], path: str) -> None:
+    """Atomically write a flight document as JSON (tmp file + rename)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+    os.replace(tmp, path)
 
 
 def load_flight(path: str) -> dict[str, Any]:

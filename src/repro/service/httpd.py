@@ -31,13 +31,12 @@ so snapshots are taken between batches, never mid-step.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Protocol
 
-from repro.observability import PROMETHEUS_CONTENT_TYPE
+from repro.observability import PROMETHEUS_CONTENT_TYPE, write_flight
 
 
 class Introspectable(Protocol):
@@ -171,15 +170,8 @@ class MetricsHttpServer:
 
     def _dump_flight(self, path: str) -> None:
         flight = self.render_flight()
-        if flight is None:
-            return
-        tmp = os.path.join(
-            os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp"
-        )
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(flight, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        os.replace(tmp, path)
+        if flight is not None:
+            write_flight(flight, path)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -17,12 +17,15 @@ import repro
 from repro.allocation.grouped import water_fill_grouped
 from repro.allocation.prices import pack_demands_batch, price_discovery_batch_kernel
 from repro.allocation.waterfill import water_fill
+from repro.core.algorithm2 import algorithm2
 from repro.core.batch import BatchAssignment, BatchProblem, linearize_batch, reclaim_batch
+from repro.core.linearize import linearize
+from repro.core.postprocess import reclaim
 from repro.engine import SolveContext
 from repro.experiments import harness
 from repro.experiments.figures import FIGURES
 from repro.extensions.online import OnlineScheduler
-from repro.observability import BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS
+from repro.observability import BATCH_EVALUATIONS, GROUPED_BISECTION_ITERATIONS, RECLAIM_CALLS
 from repro.utility.batch import QuadSplineBatch
 from repro.workloads import UniformDistribution, make_problem, paper_utilities
 
@@ -51,6 +54,21 @@ def test_alg2_reclaim_takes_at_most_30_grouped_passes(big_problem):
     ctx = SolveContext()
     repro.solve(big_problem, "alg2", ctx=ctx)
     assert ctx.counters[GROUPED_BISECTION_ITERATIONS] <= 30
+
+
+def test_alg2_reclaim_from_the_clearing_price_takes_fewer_passes(big_problem):
+    """``solve()`` holds the linearization, so its reclaim starts every
+    server's price search at λ* (18 grouped passes on this instance)
+    instead of 1 (27)."""
+    lin = linearize(big_problem)
+    cold = SolveContext()
+    reclaim(big_problem, algorithm2(big_problem, lin), cold)
+    warm = SolveContext()
+    repro.solve(big_problem, "alg2", lin=lin, ctx=warm)
+    assert warm.counters[RECLAIM_CALLS] == cold.counters[RECLAIM_CALLS] == 1
+    passes = warm.counters[GROUPED_BISECTION_ITERATIONS]
+    assert passes < cold.counters[GROUPED_BISECTION_ITERATIONS]
+    assert passes <= 20
 
 
 def test_discovered_price_start_cuts_the_refill(big_problem):

@@ -26,6 +26,7 @@ from repro.core.batch import BatchAssignment, BatchProblem, linearize_batch, rec
 from repro.core.linearize import linearize
 from repro.core.postprocess import reclaim
 from repro.core.problem import ALPHA
+from repro.core.solve import solve
 from repro.engine import LinearizationCache, SolveContext, get_solver
 from repro.experiments.harness import run_point_arrays
 from repro.observability import (
@@ -116,6 +117,25 @@ def test_algorithm2_and_reclaim_batch_bit_identical(params):
             np.sum(problem.utilities.value(reclaimed.allocations[t]))
         )
         assert total >= ALPHA * float(blin.super_optimal_utility[t]) - 1e-9
+    _assert_reclaim_counters_match(ctx_batch, ctx_scalar)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instance_params)
+def test_warm_reclaim_batch_bit_identical_to_solve(params):
+    # The sweep's batch reclaim starts each trial's servers at λ*, as
+    # solve()'s scalar reclaim does: same bits, same pass counts.
+    problems, bp = _build_batch(*params)
+    blin = linearize_batch(bp)
+    raw = algorithm2_batch_kernel(bp, blin)
+    ctx_batch, ctx_scalar = SolveContext(), SolveContext()
+    reclaimed = reclaim_batch(bp, raw, ctx=ctx_batch, start=blin.price)
+    for t, problem in enumerate(problems):
+        solved = solve(problem, "alg2")
+        assert np.array_equal(reclaimed.allocations[t], solved.assignment.allocations)
+        lin = solved.linearization
+        scalar_rec = reclaim(problem, raw.assignment(t), ctx=ctx_scalar, start=lin.price)
+        assert np.array_equal(reclaimed.allocations[t], scalar_rec.allocations)
     _assert_reclaim_counters_match(ctx_batch, ctx_scalar)
 
 

@@ -282,3 +282,52 @@ def test_serve_saves_snapshot_on_sigterm(tmp_path):
             proc.wait(timeout=10.0)
     state = load_snapshot(str(snap))
     assert state.n_servers == 2 and state.n_threads == 0
+
+
+def test_fleet_sigusr1_dump_carries_the_shard_rings(tmp_path):
+    """`kill -USR1` on `aart fleet serve` writes the document /debug/flight
+    serves: the coordinator's ring plus every shard's under ``shards``."""
+    import json
+    import os
+    import queue
+    import signal
+    import subprocess
+    import sys
+    import threading
+    import time
+    from pathlib import Path
+
+    dump = tmp_path / "fleet-flight.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "fleet", "serve", "--port", "0",
+         "--shards", "2", "--servers-per-shard", "2", "--flight-dump", str(dump)],
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    lines: queue.Queue = queue.Queue()
+
+    def pump():
+        for line in proc.stdout:
+            lines.put(line)
+
+    threading.Thread(target=pump, daemon=True).start()
+    try:
+        while "Ctrl-C to stop" not in lines.get(timeout=30.0):
+            pass
+        proc.send_signal(signal.SIGUSR1)
+        deadline = time.monotonic() + 30.0
+        while not dump.exists():
+            assert time.monotonic() < deadline, "no flight dump within 30 s"
+            time.sleep(0.05)
+        doc = json.loads(dump.read_text(encoding="utf-8"))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
+    assert doc["format"] == "aart-flight/1"
+    # One entry per shard; these in-process shards carry no recorder of
+    # their own, so each entry is None, as /debug/flight reports it.
+    assert doc["shards"] == [None, None]
