@@ -30,8 +30,13 @@ JOBS = int(os.environ.get("AART_BENCH_JOBS", "1"))
 #: Quick mode (CI smoke): fewer trials, relaxed throughput assertions.
 QUICK = os.environ.get("AART_BENCH_QUICK", "0") not in ("", "0", "false")
 
+#: Where benches write their records.  Quick runs (cut-down sizes and
+#: trial counts) go to the git-ignored ``quick/`` directory, so a local quick
+#: run never replaces a committed full-mode record.
+RESULTS_DIR = Path(__file__).resolve().parent / ("quick" if QUICK else "")
+
 #: Machine-readable headline results, shared across benches.
-HEADLINE_PATH = Path(__file__).resolve().with_name("BENCH_headline.json")
+HEADLINE_PATH = RESULTS_DIR / "BENCH_headline.json"
 
 
 def append_headline_record(name: str, record: dict) -> Path:
@@ -50,6 +55,7 @@ def append_headline_record(name: str, record: dict) -> Path:
         if existing.get("format") == doc["format"]:
             doc["records"].update(existing.get("records", {}))
     doc["records"][name] = record
+    HEADLINE_PATH.parent.mkdir(exist_ok=True)
     HEADLINE_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     return HEADLINE_PATH
 

@@ -8,12 +8,12 @@ The headline large-n bench (:func:`test_price_discovery_scaling`) takes
 the comparison to n = 10⁶: Algorithm 2's max-residual walk against the
 fully vectorized price-discovery solver, head-to-head on utility,
 certificate ratio, iterations and wall-clock, with the table saved to
-``BENCH_scaling.json``.
+``BENCH_scaling.json`` (quick mode writes ``quick/BENCH_scaling.json``,
+which git ignores).
 """
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,14 +23,14 @@ from repro.core.linearize import linearize
 from repro.allocation.waterfill import water_fill
 from repro.workloads.generators import UniformDistribution, make_problem
 
-from _common import QUICK, SEED, append_headline_record
+from _common import QUICK, RESULTS_DIR, SEED, append_headline_record
 
 GEOMETRIES = [(8, 5.0), (8, 15.0), (16, 15.0)]
 
 #: Headline sweep sizes (threads).  Quick mode (CI smoke) stops at 10⁴.
 SCALING_SIZES = [10**3, 10**4] if QUICK else [10**3, 10**4, 10**5, 10**6]
 
-SCALING_PATH = Path(__file__).resolve().with_name("BENCH_scaling.json")
+SCALING_PATH = RESULTS_DIR / "BENCH_scaling.json"
 
 
 def _instance(m: int, beta: float):
@@ -177,6 +177,7 @@ def test_price_discovery_scaling(benchmark):
         )
 
     doc = {"format": "aart-bench-scaling/1", "quick": QUICK, "points": points}
+    SCALING_PATH.parent.mkdir(exist_ok=True)
     SCALING_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     largest = points[-1]
     append_headline_record(

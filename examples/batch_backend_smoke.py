@@ -15,6 +15,9 @@ outside:
   searching, and the random splits sort cut segments of many sizes;
 * the α-certificate holds on the batch path: every trial's reclaimed
   ALG2 utility is at least ``2(√2−1)`` times its super-optimal bound;
+* the fig2a point run over two worker processes gives the serial run's
+  utility matrix, ``tobytes()``-equal: each chunk rebuilds its trials'
+  random streams from the seed description it was shipped;
 * a pchip (``GenericBatch``) point falls back to the scalar loop under
   ``backend="auto"`` and still matches a forced-scalar run;
 * the one-trial ``algorithm2_batch`` registry solver reproduces scalar
@@ -96,8 +99,13 @@ def main() -> None:
     print("pchip fallback OK (auto routed every trial to the scalar loop)")
 
     dist, beta = FIGURES["fig2a"].factory(15)
-    compare_backends({**POINT, "dist": dist, "beta": beta})
+    fig2a = {**POINT, "dist": dist, "beta": beta}
+    names_f, utils_f = compare_backends(fig2a)
     print("power-law beta=15 point OK")
+    names_j, utils_j = run_point_arrays(**fig2a, n_jobs=2, chunksize=16)
+    if names_j != names_f or utils_j.tobytes() != utils_f.tobytes():
+        fail("two-worker fig2a point diverged from the serial run")
+    print("two-worker fig2a point tobytes()-equal to serial")
 
     problem = make_problem(UniformDistribution(), 6, 4.0, seed=11)
     a = solve(problem, algorithm="alg2")

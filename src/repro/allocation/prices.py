@@ -38,7 +38,7 @@ the same bits by construction.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.linearize import Linearization
     from repro.core.problem import AAProblem, Assignment
     from repro.engine.context import SolveContext
+    from repro.utils.rng import TrialStreams
 
 #: Price-search tolerance of the per-server refill pass.  Relaxed relative to
 #: the reclaim default (1e-12): at n = 10⁵⁺ the refill is the second
@@ -150,7 +151,7 @@ def _batch_fn(
     bp: BatchProblem,
     blin: "BatchLinearization",
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    rngs: "TrialStreams",
 ) -> BatchAssignment:
     """Registry ``batch_fn`` contract (deterministic: ``rngs`` unused)."""
     return price_discovery_batch_kernel(bp, blin, ctx)

@@ -12,21 +12,23 @@ assignment strictly feasible).
 
 Each baseline also registers a trial-batched implementation
 (:attr:`~repro.engine.registry.SolverSpec.batch_fn`) that evaluates a
-whole :class:`~repro.core.batch.BatchProblem` at once; random draws still
-come from each trial's own generator in the scalar call order, so batched
-results are bit-identical to per-trial runs.
+whole :class:`~repro.core.batch.BatchProblem` at once.  Random draws come
+from the chunk's :class:`~repro.utils.rng.TrialStreams`: one draw call per
+chunk that returns, for every trial, exactly what the scalar call on the
+trial's own generator would, so batched results are bit-identical to
+per-trial runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.batch import BatchAssignment, BatchLinearization, BatchProblem
 from repro.core.problem import AAProblem, Assignment
 from repro.engine.registry import RegistryView, register_solver
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, TrialStreams, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import SolveContext
@@ -188,20 +190,15 @@ def round_robin_servers_batch(bp: BatchProblem) -> np.ndarray:
 
 def random_servers_batch(
     bp: BatchProblem,
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
     ctx: "SolveContext | None" = None,
 ) -> np.ndarray:
-    """Per-trial random assignment; each trial draws from its own generator."""
-    rows = []
-    for t, rng in enumerate(rngs):
-        if ctx is not None:
-            ctx.check_deadline()
-        rows.append(
-            as_generator(rng).integers(
-                0, int(bp.n_servers[t]), size=bp.n_threads, dtype=np.int64
-            )
-        )
-    return np.vstack(rows)
+    """Per-trial random assignment, shape ``(trials, n)``: row ``t`` is
+    :func:`random_servers` on lane ``t``, drawn for all lanes in one call."""
+    if ctx is not None:
+        ctx.check_deadline()
+    servers = streams.integers(bp.n_servers, bp.n_threads)
+    return servers.reshape(bp.n_trials, bp.n_threads)
 
 
 def uniform_split_batch(bp: BatchProblem, servers: np.ndarray) -> np.ndarray:
@@ -216,13 +213,13 @@ def uniform_split_batch(bp: BatchProblem, servers: np.ndarray) -> np.ndarray:
 def random_split_batch(
     bp: BatchProblem,
     servers: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
     ctx: "SolveContext | None" = None,
 ) -> np.ndarray:
     """Uniform-spacings split of every trial's servers in one pass.
 
-    Each trial draws its own cut points (one ``uniform`` call per trial —
-    the exact call the scalar :func:`random_split` makes), then all
+    Every lane draws its trial's cut points (the ``uniform`` call the
+    scalar :func:`random_split` makes) in one call for the chunk, then all
     trials' segments sort and difference together, with the scalar's
     sorts, so every trial is bit for bit its scalar split.
     """
@@ -232,13 +229,9 @@ def random_split_batch(
     sizes = np.where(counts >= 2, counts - 1, 0)
     group_trial = np.repeat(np.arange(T), bp.n_servers)
     per_trial = np.bincount(group_trial, weights=sizes, minlength=T).astype(np.int64)
-    draw_rows = []
-    for t, rng in enumerate(rngs):
-        if ctx is not None:
-            ctx.check_deadline()
-        draw_rows.append(as_generator(rng).uniform(0.0, 1.0, size=int(per_trial[t])))
-    draws = np.concatenate(draw_rows) if draw_rows else np.zeros(0)
-    cuts = _sorted_cuts(draws, sizes, ctx)
+    if ctx is not None:
+        ctx.check_deadline()
+    cuts = _sorted_cuts(streams.uniform(0.0, 1.0, per_trial), sizes, ctx)
     # Trial-major, then server: each row's stable order, offset to its row.
     order = (_server_order(servers, int(bp.n_servers.max()))
              + n * np.arange(T)[:, None]).reshape(-1)
@@ -255,7 +248,7 @@ def _uu_batch(
     bp: BatchProblem,
     blin: BatchLinearization | None,
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
 ) -> BatchAssignment:
     servers = round_robin_servers_batch(bp)
     return BatchAssignment(servers=servers, allocations=uniform_split_batch(bp, servers))
@@ -265,11 +258,11 @@ def _ur_batch(
     bp: BatchProblem,
     blin: BatchLinearization | None,
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
 ) -> BatchAssignment:
     servers = round_robin_servers_batch(bp)
     return BatchAssignment(
-        servers=servers, allocations=random_split_batch(bp, servers, rngs, ctx=ctx)
+        servers=servers, allocations=random_split_batch(bp, servers, streams, ctx=ctx)
     )
 
 
@@ -277,9 +270,9 @@ def _ru_batch(
     bp: BatchProblem,
     blin: BatchLinearization | None,
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
 ) -> BatchAssignment:
-    servers = random_servers_batch(bp, rngs, ctx=ctx)
+    servers = random_servers_batch(bp, streams, ctx=ctx)
     return BatchAssignment(servers=servers, allocations=uniform_split_batch(bp, servers))
 
 
@@ -287,11 +280,11 @@ def _rr_batch(
     bp: BatchProblem,
     blin: BatchLinearization | None,
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    streams: TrialStreams,
 ) -> BatchAssignment:
-    servers = random_servers_batch(bp, rngs, ctx=ctx)
+    servers = random_servers_batch(bp, streams, ctx=ctx)
     return BatchAssignment(
-        servers=servers, allocations=random_split_batch(bp, servers, rngs, ctx=ctx)
+        servers=servers, allocations=random_split_batch(bp, servers, streams, ctx=ctx)
     )
 
 

@@ -476,6 +476,7 @@ def cmd_fleet(args) -> int:
 def _fleet_serve(args) -> int:
     from pathlib import Path
 
+    from repro.observability import FlightRecorder
     from repro.service import (
         AllocationService,
         ClusterState,
@@ -506,6 +507,9 @@ def _fleet_serve(args) -> int:
                         args.servers_per_shard, args.capacity, solver=args.solver
                     ),
                     seed=args.seed + k,
+                    # Each shard keeps its own ring beside the coordinator's,
+                    # as a warm restart's shards do (fleet_snapshot_from_dict).
+                    flight=FlightRecorder() if flight is not None else None,
                 )
                 for k in range(args.shards)
             ]

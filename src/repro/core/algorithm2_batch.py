@@ -24,7 +24,7 @@ how the experiment harness routes whole sweep points through this kernel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.observability import ALG2_HEAP_OPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import SolveContext
+    from repro.utils.rng import TrialStreams
 
 
 def thread_order_batch(blin: BatchLinearization, n_servers: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def _batch_fn(
     bp: BatchProblem,
     blin: BatchLinearization | None,
     ctx: "SolveContext | None",
-    rngs: Sequence[np.random.Generator],
+    rngs: "TrialStreams",
 ) -> BatchAssignment:
     """The registry ``batch_fn`` contract for alg2 (deterministic: rngs unused)."""
     if blin is None:

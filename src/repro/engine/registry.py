@@ -86,8 +86,9 @@ class SolverSpec:
         Optional trial-batched implementation with contract
         ``batch_fn(batch_problem, batch_lin, ctx, rngs) -> BatchAssignment``
         (see :mod:`repro.core.batch`); ``batch_lin`` is ``None`` when the
-        solver does not use a linearization, and ``rngs`` supplies one
-        generator per trial for randomized solvers.  The experiment
+        solver does not use a linearization, and ``rngs`` is the chunk's
+        :class:`~repro.utils.rng.TrialStreams`, one lane per trial, for
+        randomized solvers.  The experiment
         harness routes a contender through ``batch_fn`` when present and
         the point's utilities are vectorizable; results must be
         bit-identical to running ``fn`` per trial.

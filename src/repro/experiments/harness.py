@@ -50,7 +50,7 @@ from repro.observability import (
 )
 from repro.utility.batch import concat_batches
 from repro.workloads.generators import Distribution, make_problem, paper_utilities_batch
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import LaneSeeds, SeedLike, TrialStreams
 
 #: Valid ``backend`` arguments of :func:`run_point_arrays` and friends.
 BACKENDS = ("auto", "batch", "scalar")
@@ -140,17 +140,19 @@ class SweepPoint:
 class _TrialChunkTask:
     """A picklable batch of whole trials (instance + every contender each).
 
-    ``seeds`` are the trials' :class:`numpy.random.SeedSequence` children,
-    spawned by the caller from the point's root seed — the worker rebuilds
-    exactly the generator a serial run would have used, so results are
-    independent of how trials are split across processes.
+    ``seeds`` describes the trials' lanes: children ``first … first +
+    count − 1`` of the point's root ``SeedSequence``, claimed by the caller
+    (:class:`~repro.utils.rng.LaneSeeds`).  The chunk rebuilds exactly the
+    generators a serial run would have used, as one
+    :class:`~repro.utils.rng.TrialStreams`, so results are independent of
+    how trials are split across processes.
     """
 
     dist: Distribution
     n_servers: int
     beta: float
     capacity: float
-    seeds: tuple
+    seeds: LaneSeeds
     include_alg1: bool
     include_raw: bool
     interpolator: str
@@ -206,7 +208,7 @@ def _run_batch_chunk(
     task: _TrialChunkTask,
     ctx: SolveContext,
     bp: BatchProblem,
-    rngs: list,
+    streams: TrialStreams,
 ) -> _TrialChunkResult:
     """Solve a whole chunk through the array-first pipeline.
 
@@ -224,14 +226,14 @@ def _run_batch_chunk(
     columns: dict[str, np.ndarray] = {SO: blin.super_optimal_utility}
     alg2_batch = get_solver("alg2").batch_fn
     assert alg2_batch is not None  # vetted by _batch_precheck_reason
-    raw2 = alg2_batch(bp, blin, ctx, rngs)
+    raw2 = alg2_batch(bp, blin, ctx, streams)
     reclaimed = reclaim_batch(bp, raw2, ctx=ctx, start=blin.price)
     columns[ALG2] = reclaimed.total_utilities(bp)
     if task.include_raw:
         columns[ALG2RAW] = raw2.total_utilities(bp)
     for spec in list_solvers(kind="heuristic"):
         assert spec.batch_fn is not None  # vetted by _batch_precheck_reason
-        result = spec.batch_fn(bp, blin if spec.uses_linearization else None, ctx, rngs)
+        result = spec.batch_fn(bp, blin if spec.uses_linearization else None, ctx, streams)
         columns[spec.name] = result.total_utilities(bp)
     names = (SO, ALG2) + ((ALG2RAW,) if task.include_raw else ())
     names = names + tuple(s.name for s in list_solvers(kind="heuristic"))
@@ -267,21 +269,20 @@ def _run_trial_chunk(
             tracer=Tracer() if task.with_tracer else None,
             metrics=MetricsRegistry() if task.with_metrics else None,
         )
+    streams = TrialStreams.from_seeds(task.seeds)
     probe: AAProblem | None = None
-    probe_rng = None
     if task.backend != "scalar":
         reason = _batch_precheck_reason(ctx, task.include_alg1)
         if reason is None:
-            # One probe instance decides the family check; its generator
-            # draws exactly what a scalar trial 0 would, so both routes
-            # (and the fallback below) continue from the same stream.
-            probe_rng = np.random.default_rng(task.seeds[0])
+            # One probe instance decides the family check; lane 0 draws
+            # exactly what a scalar trial 0 would, so both routes (and the
+            # fallback below) continue from the same stream.
             probe = make_problem(
                 task.dist,
                 task.n_servers,
                 task.beta,
                 task.capacity,
-                seed=probe_rng,
+                seed=streams.generator(0),
                 interpolator=task.interpolator,
             )
             if not probe.utilities.supports_vectorized:
@@ -289,41 +290,39 @@ def _run_trial_chunk(
                 reason = f"{family} has no vectorized evaluation"
         if reason is None:
             assert probe is not None
-            # Remaining trials skip per-trial AAProblem construction: draw
-            # each trial's anchors from its own generator (stream-identical
-            # to make_problem) and build ONE stacked utility family.
-            rest = [np.random.default_rng(child) for child in task.seeds[1:]]
-            rngs = [probe_rng, *rest]
+            # Remaining trials skip per-trial AAProblem construction: their
+            # lanes draw the anchors make_problem would, in one pass, into
+            # ONE stacked utility family.
             utilities = probe.utilities
-            if rest:
+            if len(streams) > 1:
                 tail = paper_utilities_batch(
                     task.dist,
                     probe.n_threads,
                     task.capacity,
-                    rest,
+                    streams[1:],
                     interpolator=task.interpolator,
                 )
                 utilities = concat_batches([utilities, tail])
             bp = BatchProblem(
                 utilities,
-                n_trials=len(task.seeds),
+                n_trials=len(streams),
                 n_servers=task.n_servers,
                 capacity=task.capacity,
             )
-            return _run_batch_chunk(task, ctx, bp, rngs)
+            return _run_batch_chunk(task, ctx, bp, streams)
         if task.backend == "batch":
             raise ValueError(f"batch backend requested but unsupported: {reason}")
-        ctx.count(BATCH_FALLBACKS, len(task.seeds))
+        ctx.count(BATCH_FALLBACKS, len(streams))
     # Scalar path: when a probe was generated (family fallback), trial 0
-    # reuses it — its generator already consumed the instance draws, so
-    # every trial's stream is identical to a scalar-only run.
+    # reuses it — its lane already consumed the instance draws, so every
+    # trial's stream is identical to a scalar-only run.
     names: tuple | None = None
     rows = []
-    for k, child in enumerate(task.seeds):
+    for k in range(len(streams)):
+        rng = streams.generator(k)
         if k == 0 and probe is not None:
-            problem, rng = probe, probe_rng
+            problem = probe
         else:
-            rng = np.random.default_rng(child)
             problem = make_problem(
                 task.dist,
                 task.n_servers,
@@ -375,8 +374,9 @@ def run_point_arrays(
 
     ``n_jobs`` fans the trials out over a process pool in chunks of
     ``chunksize`` whole trials (default: ~4 chunks per worker).  Per-trial
-    seeds are spawned from ``seed`` before dispatch, so any worker count —
-    including 1 — produces bit-identical utilities.  With ``n_jobs > 1``
+    seeds are claimed from ``seed`` before dispatch (each chunk carries a
+    :class:`~repro.utils.rng.LaneSeeds` and rebuilds its lanes from it), so
+    any worker count — including 1 — produces bit-identical utilities.  With ``n_jobs > 1``
     each worker runs its own :class:`~repro.engine.SolveContext` mirroring
     the caller's (tracer and metrics registry included, when present) and
     its counter/trace/metrics snapshots are merged into ``ctx`` —
@@ -403,7 +403,7 @@ def run_point_arrays(
             f"backend must be one of {', '.join(map(repr, BACKENDS))}, got {backend!r}"
         )
     jobs = resolve_jobs(n_jobs)
-    seeds = spawn_seed_sequences(seed, trials)
+    seeds = LaneSeeds.claim(seed, trials)
 
     def make_task(chunk_seeds, with_cache, budget_s):
         return _TrialChunkTask(
@@ -411,7 +411,7 @@ def run_point_arrays(
             n_servers=n_servers,
             beta=beta,
             capacity=capacity,
-            seeds=tuple(chunk_seeds),
+            seeds=chunk_seeds,
             include_alg1=include_alg1,
             include_raw=include_raw,
             interpolator=interpolator,
@@ -434,10 +434,7 @@ def run_point_arrays(
         budget = ctx.remaining() if ctx is not None else None
         if budget is not None:
             budget = max(budget, 1e-9)  # expired: workers raise SolveTimeout
-        tasks = [
-            make_task(seeds[k : k + size], with_cache, budget)
-            for k in range(0, trials, size)
-        ]
+        tasks = [make_task(chunk, with_cache, budget) for chunk in seeds.split(size)]
         results = map_trials(_run_trial_chunk, tasks, n_jobs=jobs)
         if ctx is not None:
             for res in results:

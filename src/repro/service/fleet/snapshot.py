@@ -50,8 +50,11 @@ def fleet_snapshot_from_dict(
     Returns a coordinator over freshly-built in-process shards, each
     restored bit-identically from its state dict; extra keyword
     arguments (``policy=``, ``sink=``, …) pass through to
-    :class:`~repro.service.fleet.coordinator.FleetCoordinator`.
+    :class:`~repro.service.fleet.coordinator.FleetCoordinator`.  When the
+    coordinator gets a ``flight`` recorder, every shard gets its own ring
+    too, so a flight dump shows what each shard did.
     """
+    from repro.observability import FlightRecorder
     from repro.service.fleet.coordinator import FleetCoordinator
     from repro.service.fleet.router import ShardRouter
     from repro.service.server import AllocationService
@@ -61,8 +64,12 @@ def fleet_snapshot_from_dict(
             f"not an {FLEET_SNAPSHOT_FORMAT} document "
             f"(format={data.get('format')!r})"
         )
+    rings = coordinator_kwargs.get("flight") is not None
     shards = [
-        AllocationService(state=ClusterState.from_dict(state))
+        AllocationService(
+            state=ClusterState.from_dict(state),
+            flight=FlightRecorder() if rings else None,
+        )
         for state in data["shards"]
     ]
     n_shards = data.get("n_shards", len(shards))

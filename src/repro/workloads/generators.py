@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.problem import AAProblem
 from repro.utility.batch import GenericBatch, QuadSplineBatch, UtilityBatch
 from repro.utility.quadspline import PchipUtility
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, TrialStreams, as_generator
 from repro.utils.validation import check_integral, check_positive, check_probability
 
 
@@ -39,9 +39,37 @@ class Distribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. nonnegative samples."""
 
+    def sample_lanes(
+        self, streams: TrialStreams, size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every lane's two :meth:`sample` calls, as two ``(lanes, size)`` arrays.
+
+        Row ``t`` of the pair is what ``sample(gen_t, size)`` returns twice in
+        a row on lane ``t``'s generator (the draws of :func:`draw_anchors`).
+        This default asks each lane's generator in turn; families whose draws
+        come from ``uniform`` override it with one call for the whole chunk.
+        """
+        lanes = len(streams)
+        first, second = np.empty((lanes, size)), np.empty((lanes, size))
+        for t in range(lanes):
+            gen = streams.generator(t)
+            first[t] = self.sample(gen, size)
+            second[t] = self.sample(gen, size)
+        return first, second
+
     @property
     def name(self) -> str:
         return type(self).__name__.replace("Distribution", "").lower()
+
+
+def _pairs(draws: np.ndarray, lanes: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split each lane's ``2 * size`` consecutive draws into its two samples.
+
+    A lane's two ``size``-long calls read its stream back to back, so they
+    equal one ``2 * size``-long call cut in half.
+    """
+    pairs = draws.reshape(lanes, 2, size)
+    return pairs[:, 0], pairs[:, 1]
 
 
 @dataclass(frozen=True)
@@ -57,6 +85,9 @@ class UniformDistribution(Distribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=size)
+
+    def sample_lanes(self, streams: TrialStreams, size: int):
+        return _pairs(streams.uniform(self.low, self.high, 2 * size), len(streams), size)
 
 
 @dataclass(frozen=True)
@@ -86,7 +117,13 @@ class PowerLawDistribution(Distribution):
         check_positive("x_min", self.x_min)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.uniform(0.0, 1.0, size=size)
+        return self._inverse_cdf(rng.uniform(0.0, 1.0, size=size))
+
+    def sample_lanes(self, streams: TrialStreams, size: int):
+        u = streams.uniform(0.0, 1.0, 2 * size)
+        return _pairs(self._inverse_cdf(u), len(streams), size)
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         return self.x_min * np.power(1.0 - u, -1.0 / (self.alpha - 1.0))
 
 
@@ -110,8 +147,14 @@ class TwoPointDistribution(Distribution):
         return self.theta * self.low
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        picks = rng.uniform(0.0, 1.0, size=size) < self.gamma
-        return np.where(picks, self.low, self.high)
+        return self._pick(rng.uniform(0.0, 1.0, size=size))
+
+    def sample_lanes(self, streams: TrialStreams, size: int):
+        u = streams.uniform(0.0, 1.0, 2 * size)
+        return _pairs(self._pick(u), len(streams), size)
+
+    def _pick(self, u: np.ndarray) -> np.ndarray:
+        return np.where(u < self.gamma, self.low, self.high)
 
 
 #: Named registry matching the paper's four experiment families.
@@ -169,29 +212,21 @@ def paper_utilities_batch(
     dist: Distribution,
     n: int,
     capacity: float,
-    rngs,
+    streams: TrialStreams,
     interpolator: str = "quadspline",
 ) -> UtilityBatch:
-    """One flat utility batch for many trials (``len(rngs) * n`` threads).
+    """One flat utility batch for many trials (``len(streams) * n`` threads).
 
-    Equivalent to concatenating ``paper_utilities(dist, n, capacity, rng)``
-    per trial — each trial's anchors are drawn from its *own* generator
-    with the exact calls :func:`draw_anchors` makes, so the draws are
-    bit-identical to per-trial generation — but the utility family is
-    constructed once over the stacked anchors instead of once per trial.
-    The trial-batched harness path uses this to keep instance generation
-    off the per-trial Python ledger.
+    Equivalent to concatenating ``paper_utilities(dist, n, capacity, gen_t)``
+    over the lanes: each lane makes the draws :func:`draw_anchors` makes
+    (:meth:`Distribution.sample_lanes`, one call for the whole chunk where
+    the family allows), so the anchors are bit-identical to per-trial
+    generation, and the utility family is constructed once over the
+    stacked anchors instead of once per trial.
     """
     n = check_integral("n", n, minimum=0)
-    a_rows = []
-    b_rows = []
-    for rng in rngs:
-        gen = as_generator(rng)
-        a_rows.append(dist.sample(gen, n))
-        b_rows.append(dist.sample(gen, n))
-    a = np.concatenate(a_rows) if a_rows else np.zeros(0)
-    b = np.concatenate(b_rows) if b_rows else np.zeros(0)
-    v, w = np.maximum(a, b), np.minimum(a, b)
+    a, b = dist.sample_lanes(streams, n)
+    v, w = np.maximum(a, b).reshape(-1), np.minimum(a, b).reshape(-1)
     if interpolator == "quadspline":
         return QuadSplineBatch(v, w, capacity)
     if interpolator == "pchip":

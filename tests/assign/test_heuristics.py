@@ -24,7 +24,7 @@ from repro.core.batch import BatchProblem
 from repro.core.problem import AAProblem
 from repro.utility.batch import PowerBatch
 from repro.utility.functions import LogUtility
-from repro.utils.rng import as_generator
+from repro.utils.rng import TrialStreams, as_generator
 
 from tests.conftest import CAP, aa_problems
 
@@ -238,7 +238,8 @@ def test_random_split_matches_lexsort_splits(case):
     servers, m, seed = case
     trials, n = servers.shape
     bp = BatchProblem(PowerBatch(np.ones(trials * n), 0.5, CAP), trials, m, CAP)
-    got = random_split_batch(bp, servers, [np.random.default_rng([seed, t]) for t in range(trials)])
+    lanes = TrialStreams([np.random.default_rng([seed, t]) for t in range(trials)])
+    got = random_split_batch(bp, servers, lanes)
     want = _lexsort_split_batch(
         bp, servers, [np.random.default_rng([seed, t]) for t in range(trials)]
     )

@@ -8,6 +8,7 @@ from repro.observability import (
     FLEET_MIGRATIONS,
     FLEET_REBALANCES,
     FLEET_STEPS,
+    FlightRecorder,
     MemorySink,
 )
 from repro.service import (
@@ -330,6 +331,20 @@ def test_fleet_snapshot_restores_locations_and_keeps_serving(tmp_path):
     assert warm.handle(RemoveThread("t4")).ok
     assert warm.handle(Rebalance()).ok
     assert warm.certificate().holds()
+
+
+def test_warm_fleet_shards_keep_their_own_flight_rings(tmp_path):
+    fleet = _fleet()
+    _submit_burst(fleet, 3)
+    path = tmp_path / "fleet.json"
+    save_fleet_snapshot(fleet, path)
+    warm = load_fleet_snapshot(path, flight=FlightRecorder())
+    assert [ring["events"] for ring in warm.flight_snapshot()["shards"]] == [[], [], []]
+    assert warm.handle(SubmitThread("fresh", _util())).ok
+    rings = warm.flight_snapshot()["shards"]
+    assert len(rings) == 3
+    # Restoring ran no step; the submit did (placing, maybe migrating).
+    assert any(e["kind"] == "step" for ring in rings for e in ring["events"])
 
 
 def test_snapshot_request_returns_fleet_document():

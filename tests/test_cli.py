@@ -286,16 +286,22 @@ def test_serve_saves_snapshot_on_sigterm(tmp_path):
 
 def test_fleet_sigusr1_dump_carries_the_shard_rings(tmp_path):
     """`kill -USR1` on `aart fleet serve` writes the document /debug/flight
-    serves: the coordinator's ring plus every shard's under ``shards``."""
+    serves: the coordinator's ring plus every shard's under ``shards``.
+    Each in-process shard keeps its own ring, so the shard that placed a
+    submitted thread shows its step."""
     import json
     import os
     import queue
+    import re
     import signal
     import subprocess
     import sys
     import threading
     import time
     from pathlib import Path
+
+    from repro.service import Client
+    from repro.utility.functions import LogUtility
 
     dump = tmp_path / "fleet-flight.json"
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -313,8 +319,12 @@ def test_fleet_sigusr1_dump_carries_the_shard_rings(tmp_path):
 
     threading.Thread(target=pump, daemon=True).start()
     try:
-        while "Ctrl-C to stop" not in lines.get(timeout=30.0):
-            pass
+        line = ""
+        while "Ctrl-C to stop" not in line:
+            line = lines.get(timeout=30.0)
+        port = int(re.search(r":(\d+) \(", line).group(1))
+        with Client(port=port, timeout=30.0) as client:
+            assert client.submit("t1", LogUtility(1.0, 1.0, 10.0)).ok
         proc.send_signal(signal.SIGUSR1)
         deadline = time.monotonic() + 30.0
         while not dump.exists():
@@ -328,6 +338,6 @@ def test_fleet_sigusr1_dump_carries_the_shard_rings(tmp_path):
             proc.kill()
             proc.wait(timeout=10.0)
     assert doc["format"] == "aart-flight/1"
-    # One entry per shard; these in-process shards carry no recorder of
-    # their own, so each entry is None, as /debug/flight reports it.
-    assert doc["shards"] == [None, None]
+    assert len(doc["shards"]) == 2
+    assert all(ring["format"] == "aart-flight/1" for ring in doc["shards"])
+    assert any(e["kind"] == "step" for ring in doc["shards"] for e in ring["events"])
