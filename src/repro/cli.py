@@ -180,9 +180,7 @@ def _run_daemon(args, build, save) -> int:
     sink = JsonlSink(args.trace) if args.trace else None
     flight = FlightRecorder() if args.flight_dump else None
     front, name, detail = build(sink, flight)
-    server = TcpServer(
-        front, host=args.host, port=args.port, coalesce_window_s=args.coalesce_window
-    )
+    server = TcpServer(front, host=args.host, port=args.port)
     if flight is not None:
 
         def dump_flight():
@@ -909,8 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound on the pending-mutation queue")
     p.add_argument("--budget-s", type=float, default=None,
                    help="per-step wall-clock solve budget (seconds)")
-    p.add_argument("--coalesce-window", type=float, default=0.02,
-                   help="seconds to keep draining a request burst into one step")
     p.add_argument("--snapshot", metavar="PATH",
                    help="restore from PATH at start (if present) and save on exit")
     p.add_argument("--trace", metavar="PATH",
@@ -973,8 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "fractions spread wider than this")
     f.add_argument("--migration-budget", type=int, default=8,
                    help="max threads one cross-shard pass may migrate")
-    f.add_argument("--coalesce-window", type=float, default=0.02,
-                   help="seconds to keep draining a request burst into one step")
     f.add_argument("--snapshot", metavar="PATH",
                    help="restore the fleet from PATH at start (if present) "
                    "and save on exit (aart-fleet-snapshot/1)")

@@ -516,17 +516,16 @@ def run_point(
 def sweep_point_seeds(seed: SeedLike, n_points: int, *salt: int) -> list:
     """Per-point root seeds for an ``n_points``-long sweep.
 
-    An integer ``seed`` keys each point as ``SeedSequence([seed, *salt, k])``
-    (the historical scheme, stable across releases).  ``seed=None`` draws
-    fresh OS entropy **once** and spawns the points from it — previously
-    ``None`` silently collapsed to 0, making "unseeded" sweeps identical
-    runs.
+    An integer ``seed`` keys each point by the entropy list
+    ``[seed, *salt, k]`` (the historical scheme, stable across releases):
+    its lanes are those of ``SeedSequence([seed, *salt, k])``, without a
+    root object to advance.  ``seed=None`` draws fresh OS entropy **once**
+    and spawns the points from it — previously ``None`` silently collapsed
+    to 0, making "unseeded" sweeps identical runs.
     """
     if seed is None:
         return list(np.random.SeedSequence().spawn(n_points))
-    return [
-        np.random.SeedSequence([int(seed), *salt, k]) for k in range(n_points)
-    ]
+    return [[int(seed), *salt, k] for k in range(n_points)]
 
 
 def run_sweep(

@@ -92,9 +92,12 @@ class FrontDoor:
     ) -> Tracer | None:
         """A per-batch tracer when any request is traced, else ``None``.
 
-        Also folds the transport's coalescing wait (when reported) into the
-        phase histogram and — on the traced path — a ``phase.coalesce_wait``
-        span ending at the tracer's epoch.
+        Also folds the transport's ``coalesce_wait_s`` (when reported) into
+        the phase histogram and — on the traced path — a
+        ``phase.coalesce_wait`` span ending at the tracer's epoch.  Over TCP
+        that wait runs from the batch's first line to its hand-off under the
+        batch lock: decoding plus waiting for other connections' batches,
+        never a timer.
         """
         ctxs = [req.trace for req in requests if req.trace is not None]
         wait = (transport_info or {}).get("coalesce_wait_s")

@@ -523,8 +523,8 @@ class AllocationService(FrontDoor):
         step) before any read in the same batch is answered.
 
         ``transport_info`` carries transport-side measurements (currently
-        ``coalesce_wait_s``, the time the TCP server spent widening the
-        batch).  When any request carries a
+        ``coalesce_wait_s``, the time from the batch's first TCP line to
+        this call).  When any request carries a
         :class:`~repro.service.api.TraceContext`, the whole batch runs
         under a per-batch :class:`~repro.observability.Tracer` and the
         first traced request of each trace ferries the stitched span

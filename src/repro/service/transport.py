@@ -7,11 +7,11 @@ Two implementations of the same protocol:
   embeddings and the CI smoke job.  A ``request(...)`` call with N
   messages is exactly one coalesced batch.
 * :class:`TcpServer` / :class:`Client` — JSON lines over TCP.  Each line
-  is one request dict; the server reads the first line **then drains every
-  further line already in flight within a short coalescing window**, so
-  bursts of arrivals from one or many pipelined clients collapse into a
-  single incremental step.  Responses come back one line per request, in
-  request order.
+  is one request dict; the server serves **every complete line a
+  connection has already received as one batch**, without waiting for
+  more, so a pipelined burst collapses into a single incremental step
+  while a lone request is served at once.  Responses come back one line
+  per request, in request order.
 
 The wire format is owned by :mod:`repro.service.api`; this module only
 moves bytes.
@@ -64,7 +64,8 @@ class RequestProcessor(Protocol):
     :class:`~repro.service.fleet.coordinator.FleetCoordinator` satisfy
     this, so every transport here fronts a single shard and a whole
     fleet interchangeably.  ``transport_info`` carries transport-side
-    measurements (e.g. the TCP coalescing wait) into the phase metrics.
+    measurements (e.g. the TCP batch's wait for the lock) into the phase
+    metrics.
     """
 
     def process(
@@ -133,10 +134,14 @@ class TcpServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
-    coalesce_window_s:
-        After the first request line of a batch, keep draining complete
-        lines for this long before processing — the knob that turns
-        request bursts into single incremental steps.
+
+    A batch is backlog, not a time slice: once a connection has a
+    complete line, the server drains whatever else the socket already
+    holds without waiting, and hands every complete line to the service
+    in one ``process`` call.  A burst sent in one write is one step; a
+    lone request never waits for company.  The ``coalesce_wait`` phase
+    measures a batch from its first line to its hand-off under the batch
+    lock.
     """
 
     def __init__(
@@ -144,10 +149,8 @@ class TcpServer:
         service: RequestProcessor,
         host: str = "127.0.0.1",
         port: int = 0,
-        coalesce_window_s: float = 0.02,
     ):
         self.service = service
-        self.coalesce_window_s = float(coalesce_window_s)
         self._sock = socket.create_server((host, port))
         self._sock.settimeout(_POLL_S)
         self.host, self.port = self._sock.getsockname()[:2]
@@ -209,38 +212,31 @@ class TcpServer:
             buf = b""
             eof = False
             while not self._shutdown.is_set():
-                line, buf = _pop_line(buf)
-                if line is None:
+                batch, buf = _pop_lines(buf)
+                if not batch:
                     if eof:
                         return
                     buf, eof, _got = _fill(conn, buf, _POLL_S)
                     continue
-                batch = [line]
                 t_first = time.monotonic()
-                deadline = t_first + self.coalesce_window_s
-                while True:
-                    line, buf = _pop_line(buf)
-                    if line is not None:
-                        batch.append(line)
-                        continue
-                    remaining = deadline - time.monotonic()
-                    if eof or remaining <= 0:
+                while not eof:  # drain what has already arrived, never wait
+                    buf, eof, got = _fill(conn, buf, 0.0)
+                    if not got:
                         break
-                    buf, eof, got = _fill(conn, buf, remaining)
-                    if not got and not eof:
-                        break  # window expired quietly
-                coalesce_wait = time.monotonic() - t_first
+                more, buf = _pop_lines(buf)
+                reply = _encode_lines(self._process_batch(batch + more, t_first))
+                conn.settimeout(None)  # the reply waits on the reader, not a poll tick
                 try:
-                    conn.sendall(
-                        _encode_lines(self._process_batch(batch, coalesce_wait))
-                    )
+                    conn.sendall(reply)
                 except OSError:
                     return
 
-    def _process_batch(
-        self, lines: list[bytes], coalesce_wait_s: float = 0.0
-    ) -> list[dict]:
-        """Decode each line, serve the decodable ones as ONE batch."""
+    def _process_batch(self, lines: list[bytes], t_first: float) -> list[dict]:
+        """Decode each line, serve the decodable ones as ONE batch.
+
+        ``t_first`` is when the batch's first line was seen; the wait up to
+        the hand-off under the batch lock is reported as ``coalesce_wait_s``.
+        """
         parsed: list[Request | Response] = []
         for raw in lines:
             try:
@@ -248,11 +244,11 @@ class TcpServer:
             except (ValueError, KeyError, TypeError) as exc:
                 parsed.append(Response.failure("?", f"bad request line: {exc}"))
         requests = [p for p in parsed if not isinstance(p, Response)]
-        info = {"transport": "tcp", "coalesce_wait_s": coalesce_wait_s}
         # Owner-thread pattern: the batch lock IS the server's serialization
         # point — every connection's requests are served as one ordered batch,
         # so the (deadline-bounded) re-solve runs under it by design.
         with self._lock:  # aart: ignore[AART009]
+            info = {"transport": "tcp", "coalesce_wait_s": time.monotonic() - t_first}
             served = iter(self.service.process(requests, info))
         out: list[Response] = [
             p if isinstance(p, Response) else next(served) for p in parsed
@@ -260,23 +256,20 @@ class TcpServer:
         return [response_to_dict(r) for r in out]
 
 
-def _pop_line(buf: bytes) -> tuple[bytes | None, bytes]:
-    """Split one complete line off ``buf`` (skipping blank keep-alives)."""
-    while True:
-        idx = buf.find(b"\n")
-        if idx < 0:
-            return None, buf
-        line, buf = buf[:idx], buf[idx + 1:]
-        if line.strip():
-            return line, buf
+def _pop_lines(buf: bytes) -> tuple[list[bytes], bytes]:
+    """Split every complete line off ``buf`` (skipping blank keep-alives)."""
+    head, sep, rest = buf.rpartition(b"\n")
+    if not sep:
+        return [], buf
+    return [line for line in head.split(b"\n") if line.strip()], rest
 
 
 def _fill(conn: socket.socket, buf: bytes, timeout: float) -> tuple[bytes, bool, bool]:
-    """recv() once with ``timeout``; returns ``(buf, eof, got_data)``."""
+    """recv() once with ``timeout`` (0 polls); returns ``(buf, eof, got_data)``."""
     conn.settimeout(timeout)
     try:
         chunk = conn.recv(_RECV_CHUNK)
-    except socket.timeout:
+    except (socket.timeout, BlockingIOError):
         return buf, False, False
     except OSError:
         return buf, True, False
@@ -288,8 +281,10 @@ def _fill(conn: socket.socket, buf: bytes, timeout: float) -> tuple[bytes, bool,
 class Client:
     """Small synchronous client speaking the JSON-lines protocol.
 
-    Send several requests in one :meth:`request` call and they land in
-    the same TCP segment, which the server coalesces into one step.
+    One :meth:`request` call writes all its lines at once, and the server
+    serves every line that has arrived together as one batch, so a
+    multi-request call is one step when its lines arrive together (as
+    they do on loopback and for any burst that fits one segment).
 
     Every request the caller did not tag gets an auto-assigned
     monotonically increasing ``request_id`` (``c<client>-<n>``), so

@@ -188,15 +188,10 @@ def draw_anchors(
     return np.maximum(a, b), np.minimum(a, b)
 
 
-def paper_utilities(
-    dist: Distribution,
-    n: int,
-    capacity: float,
-    seed: SeedLike = None,
-    interpolator: str = "quadspline",
+def _utility_family(
+    v: np.ndarray, w: np.ndarray, capacity: float, interpolator: str
 ) -> UtilityBatch:
-    """Generate ``n`` random concave utilities per the paper's Section VII."""
-    v, w = draw_anchors(dist, n, seed)
+    """The smoothed utilities through anchors ``(C/2, v)`` and ``(C, v + w)``."""
     if interpolator == "quadspline":
         return QuadSplineBatch(v, w, capacity)
     if interpolator == "pchip":
@@ -206,6 +201,18 @@ def paper_utilities(
     raise ValueError(
         f"unknown interpolator {interpolator!r}; choose 'quadspline' or 'pchip'"
     )
+
+
+def paper_utilities(
+    dist: Distribution,
+    n: int,
+    capacity: float,
+    seed: SeedLike = None,
+    interpolator: str = "quadspline",
+) -> UtilityBatch:
+    """Generate ``n`` random concave utilities per the paper's Section VII."""
+    v, w = draw_anchors(dist, n, seed)
+    return _utility_family(v, w, capacity, interpolator)
 
 
 def paper_utilities_batch(
@@ -227,15 +234,7 @@ def paper_utilities_batch(
     n = check_integral("n", n, minimum=0)
     a, b = dist.sample_lanes(streams, n)
     v, w = np.maximum(a, b).reshape(-1), np.minimum(a, b).reshape(-1)
-    if interpolator == "quadspline":
-        return QuadSplineBatch(v, w, capacity)
-    if interpolator == "pchip":
-        return GenericBatch(
-            [PchipUtility.from_paper_anchors(vi, wi, capacity) for vi, wi in zip(v, w)]
-        )
-    raise ValueError(
-        f"unknown interpolator {interpolator!r}; choose 'quadspline' or 'pchip'"
-    )
+    return _utility_family(v, w, capacity, interpolator)
 
 
 def make_problem(

@@ -131,7 +131,7 @@ def test_untraced_path_carries_no_trace_payload():
 def traced_fleet():
     shards = [_eager_shard() for _ in range(2)]
     fleet = FleetCoordinator(shards)
-    server = TcpServer(fleet, port=0, coalesce_window_s=0.05)
+    server = TcpServer(fleet, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     tracer = Tracer(trace_id="stitch-golden")

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.service import (
     SubmitThread,
     TcpServer,
 )
+from repro.service.api import request_to_dict
 from repro.utility.functions import LogUtility
 
 CAP = 10.0
@@ -93,6 +95,24 @@ def test_tcp_bad_line_gets_error_response(server):
     assert first["ok"] is False  # submit without thread_id/utility
     assert second["ok"] is False
     assert "bad request line" in second["error"]
+
+
+def test_tcp_burst_then_close_without_reading(server):
+    burst = b"".join(
+        json.dumps(request_to_dict(SubmitThread(f"t{k}", _util()))).encode() + b"\n"
+        for k in range(2)
+    )
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+        sock.sendall(burst)
+    # One connection, several round trips: an empty socket is not EOF.
+    with Client(port=server.port) as client:
+        deadline = time.monotonic() + 5.0
+        while client.status()["n_threads"] < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert client.status()["n_threads"] == 2
+        assert client.remove("t0").ok and client.remove("t1").ok
+        assert client.submit("after", _util()).ok
+        assert client.status()["n_threads"] == 1
 
 
 def test_tcp_blank_lines_ignored(server):

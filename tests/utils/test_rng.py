@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.harness import sweep_point_seeds
 from repro.utils.rng import LaneSeeds, TrialStreams, as_generator, spawn_generators
 
 
@@ -142,6 +143,15 @@ def test_split_chunks_rebuild_the_same_lanes():
     assert [c.count for c in chunks] == [5, 5, 5, 5, 3]
     rebuilt = [g for c in chunks for g in _lanes(TrialStreams.from_seeds(c))]
     assert _states(rebuilt) == _states(_lanes(TrialStreams.from_seeds(seeds)))
+
+
+@pytest.mark.parametrize("salt", [(), (71,), (72, 5)])
+def test_entropy_list_claims_the_seed_sequences_lanes(salt):
+    for k, point in enumerate(sweep_point_seeds(4, 3, *salt)):
+        assert point == [4, *salt, k]
+        via_root = LaneSeeds.claim(np.random.SeedSequence(point), 17)
+        assert np.array_equal(LaneSeeds.claim(point, 17).state_words(),
+                              via_root.state_words())
 
 
 _HIGHS = st.sampled_from([1, 3, 8, 1000, 2**31 + 1, 2**32])
