@@ -21,7 +21,7 @@ from pathlib import Path
 from _common import QUICK, SEED, append_headline_record
 
 from repro.engine import SolveContext
-from repro.experiments.harness import run_point
+from repro.experiments.harness import run_point_arrays
 from repro.observability import LINEARIZE_CALLS
 from repro.workloads.generators import UniformDistribution
 
@@ -35,26 +35,26 @@ RESULT_PATH = Path(__file__).with_name("BENCH_parallel.json")
 def test_parallel_trials_per_second(benchmark):
     dist = UniformDistribution()
     results = {}
-    ratios_by_jobs = {}
+    utils_by_jobs = {}
     counters_by_jobs = {}
 
     def run_at(jobs, backend="auto"):
         ctx = SolveContext(seed=0)
         t0 = time.perf_counter()
-        ratios = run_point(
+        _, utils = run_point_arrays(
             dist, 8, 5.0, 1000.0, trials=TRIALS, seed=SEED, ctx=ctx, n_jobs=jobs,
             backend=backend,
         )
         seconds = time.perf_counter() - t0
         if backend != "auto":
-            return ratios, TRIALS / seconds
-        ratios_by_jobs[jobs] = ratios
+            return utils, TRIALS / seconds
+        utils_by_jobs[jobs] = utils
         counters_by_jobs[jobs] = ctx.counters.snapshot()
         results[jobs] = {
             "seconds": seconds,
             "trials_per_sec": TRIALS / seconds,
         }
-        return ratios, TRIALS / seconds
+        return utils, TRIALS / seconds
 
     # pytest-benchmark times the whole grid; per-config numbers are ours.
     benchmark.pedantic(lambda: [run_at(j) for j in JOB_GRID], rounds=1, iterations=1)
@@ -63,17 +63,19 @@ def test_parallel_trials_per_second(benchmark):
     for jobs in JOB_GRID:
         results[jobs]["speedup"] = results[jobs]["trials_per_sec"] / serial
 
-    # Determinism: every worker count reproduces the serial series exactly,
-    # and merged counters preserve the one-linearization-per-trial invariant.
+    # Determinism: every worker count reproduces the serial utility matrix
+    # exactly, and merged counters preserve the one-linearization-per-trial
+    # invariant.
+    serial_bytes = utils_by_jobs[1].tobytes()
     for jobs in JOB_GRID[1:]:
-        assert ratios_by_jobs[jobs] == ratios_by_jobs[1], f"n_jobs={jobs} diverged"
+        assert utils_by_jobs[jobs].tobytes() == serial_bytes, f"n_jobs={jobs} diverged"
         assert counters_by_jobs[jobs] == counters_by_jobs[1]
     assert counters_by_jobs[1][LINEARIZE_CALLS] == TRIALS
 
     # Scalar-backend baseline at n_jobs=1: the batch backend (what "auto"
-    # picks here) must reproduce its series exactly, only faster.
-    scalar_ratios, scalar_rate = run_at(1, backend="scalar")
-    assert scalar_ratios == ratios_by_jobs[1], "backends diverged"
+    # picks here) must reproduce its utility matrix exactly, only faster.
+    scalar_utils, scalar_rate = run_at(1, backend="scalar")
+    assert scalar_utils.tobytes() == serial_bytes, "backends diverged"
     batch_rate = results[1]["trials_per_sec"]
     backend_speedup = batch_rate / scalar_rate
 

@@ -98,9 +98,27 @@ def test_per_server_loop_reference(benchmark):
 # -- headline: price discovery vs Algorithm 2 at large n ---------------------
 
 
+def _timed_solve(name: str, problem, lin):
+    """Time one registry solver plus its reclaim from λ* on a shared ``lin``.
+
+    Validation and the utility sum stay outside the timer.
+    """
+    from repro.core.postprocess import reclaim
+    from repro.engine import SolveContext, get_solver
+
+    spec = get_solver(name)
+    ctx = SolveContext()
+    t0 = time.perf_counter()
+    with ctx.solve_span(name):
+        assignment = spec.run(problem, lin=lin, ctx=ctx)
+        if spec.reclaim:
+            assignment = reclaim(problem, assignment, ctx=ctx, start=lin.price)
+    return assignment, time.perf_counter() - t0
+
+
 def _scaling_point(n: int) -> dict:
     """Head-to-head alg2 vs price_discovery on one n = 8m uniform instance."""
-    from repro.engine import SolveContext, run_solver
+    from repro.engine import SolveContext
     from repro.observability import BISECTION_ITERATIONS
 
     m = n // 8
@@ -114,18 +132,12 @@ def _scaling_point(n: int) -> dict:
     linearize_s = time.perf_counter() - t0
     bound = water_fill(problem.utilities, problem.pool).total_utility
 
-    ctx2 = SolveContext()
-    t0 = time.perf_counter()
-    alg2_run = run_solver("alg2", problem, lin=lin, ctx=ctx2)
-    alg2_s = time.perf_counter() - t0
-    alg2_utility = alg2_run.assignment.total_utility(problem)
+    alg2, alg2_s = _timed_solve("alg2", problem, lin)
+    alg2_utility = alg2.total_utility(problem)
 
-    ctxp = SolveContext()
-    t0 = time.perf_counter()
-    price_run = run_solver("price_discovery", problem, lin=lin, ctx=ctxp)
-    price_s = time.perf_counter() - t0
-    price_run.assignment.validate(problem)
-    price_utility = price_run.assignment.total_utility(problem)
+    priced, price_s = _timed_solve("price_discovery", problem, lin)
+    priced.validate(problem)
+    price_utility = priced.total_utility(problem)
 
     return {
         "n": n,

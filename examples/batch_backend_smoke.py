@@ -19,9 +19,7 @@ outside:
   utility matrix, ``tobytes()``-equal: each chunk rebuilds its trials'
   random streams from the seed description it was shipped;
 * a pchip (``GenericBatch``) point falls back to the scalar loop under
-  ``backend="auto"`` and still matches a forced-scalar run;
-* the one-trial ``algorithm2_batch`` registry solver reproduces scalar
-  ``alg2`` exactly through the ``solve()`` facade.
+  ``backend="auto"`` and still matches a forced-scalar run.
 
 Exits non-zero on any violated invariant.
 
@@ -33,11 +31,10 @@ import sys
 import numpy as np
 
 from repro.core.problem import ALPHA
-from repro.core.solve import solve
 from repro.engine import LinearizationCache, SolveContext
 from repro.experiments.figures import FIGURES
 from repro.experiments.harness import run_point_arrays
-from repro.workloads.generators import UniformDistribution, make_problem
+from repro.workloads.generators import UniformDistribution
 
 POINT = dict(dist=UniformDistribution(), n_servers=8, beta=6.0,
              capacity=1000.0, trials=50, seed=7)
@@ -106,15 +103,6 @@ def main() -> None:
     if names_j != names_f or utils_j.tobytes() != utils_f.tobytes():
         fail("two-worker fig2a point diverged from the serial run")
     print("two-worker fig2a point tobytes()-equal to serial")
-
-    problem = make_problem(UniformDistribution(), 6, 4.0, seed=11)
-    a = solve(problem, algorithm="alg2")
-    b = solve(problem, algorithm="algorithm2_batch")
-    if not np.array_equal(a.assignment.servers, b.assignment.servers):
-        fail("algorithm2_batch placed threads differently from alg2")
-    if not np.array_equal(a.assignment.allocations, b.assignment.allocations):
-        fail("algorithm2_batch allocated differently from alg2")
-    print("registry solver algorithm2_batch == alg2 through solve()")
 
     print("batch backend smoke OK")
 

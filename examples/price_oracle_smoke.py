@@ -26,7 +26,7 @@ import numpy as np
 from repro.allocation import kkt_violation, price_discovery_batch_kernel
 from repro.core.batch import BatchProblem, linearize_batch
 from repro.core.solve import solve
-from repro.engine import SolveContext, SolveTimeout, run_solver
+from repro.engine import SolveContext, SolveTimeout
 from repro.workloads.generators import UniformDistribution, make_problem
 
 DIST = UniformDistribution()
@@ -41,7 +41,7 @@ def main() -> None:
     # 1. oracle parity + certificate on paper-shaped instances
     for m, seed in ((16, 0), (32, 1), (64, 2)):
         problem = make_problem(DIST, n_servers=m, beta=8.0, capacity=1000.0, seed=seed)
-        oracle = run_solver("alg2", problem).assignment.total_utility(problem)
+        oracle = solve(problem, "alg2").assignment.total_utility(problem)
         sol = solve(problem, algorithm="price_discovery")
         if sol.total_utility < oracle * 0.99:
             fail(
@@ -57,7 +57,7 @@ def main() -> None:
 
     # 2. per-server KKT optimality of the refill stage
     problem = make_problem(DIST, n_servers=16, beta=8.0, capacity=1000.0, seed=3)
-    a = run_solver("price_discovery", problem).assignment
+    a = solve(problem, "price_discovery").assignment
     for j in range(problem.n_servers):
         members = np.where(a.servers == j)[0]
         if members.size == 0:
@@ -79,7 +79,7 @@ def main() -> None:
     summed: dict = {}
     for t, p in enumerate(problems):
         ctx_s = SolveContext()
-        scalar = run_solver("price_discovery", p, ctx=ctx_s).assignment
+        scalar = solve(p, "price_discovery", ctx=ctx_s).assignment
         if not (
             np.array_equal(scalar.servers, batch.servers[t])
             and np.array_equal(scalar.allocations, batch.allocations[t])
@@ -97,7 +97,7 @@ def main() -> None:
     # 4. deadline abandonment
     big = make_problem(DIST, n_servers=64, beta=8.0, capacity=1000.0, seed=9)
     try:
-        run_solver("price_discovery", big, ctx=SolveContext(budget_s=1e-9))
+        solve(big, "price_discovery", ctx=SolveContext(budget_s=1e-9))
     except SolveTimeout:
         print("ok deadline: SolveTimeout raised mid-solve")
     else:

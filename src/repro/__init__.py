@@ -17,11 +17,12 @@ Quickstart::
     print(sol.total_utility, sol.certified_ratio)
 
 Every solver — the paper algorithms, the Section VII heuristics, the
-extensions — is addressable through the unified engine::
+extensions — is registered in the unified engine and runs through
+``solve()``::
 
     from repro import engine
     spec = engine.get_solver("alg2")       # metadata: ratio, complexity, ...
-    run = engine.run_solver("alg2", problem)
+    sol = solve(problem, "RR", seed=0)     # any registered name, certified
 
 See DESIGN.md for the full system inventory, docs/engine.md for the
 solver engine, and EXPERIMENTS.md for the paper-vs-measured record of

@@ -17,17 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.linearize import linearize
 from repro.core.problem import ALPHA
 from repro.core.solve import solve
-from repro.engine import (
-    SOLVER_KINDS,
-    SolveContext,
-    get_linearization,
-    list_solvers,
-    solver_table,
-)
+from repro.engine import SOLVER_KINDS, SolveContext, list_solvers, solver_table
 from repro.experiments.figures import FIGURES, expected_shape_violations, run_figure
-from repro.experiments.harness import BACKENDS
 from repro.experiments.report import series_table
 from repro.serialization import (
     load_assignment,
@@ -114,7 +108,6 @@ def cmd_figure(args) -> int:
         seed=args.seed,
         n_jobs=args.jobs,
         chunksize=args.chunksize,
-        backend=args.backend,
     )
     print(spec.title)
     print(series_table(points, x_label=spec.x_label))
@@ -149,7 +142,7 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    bound = get_linearization(problem).super_optimal_utility
+    bound = linearize(problem).super_optimal_utility
     _print_solution(problem, assignment, bound, "evaluated assignment")
     return 0
 
@@ -840,10 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "results are bit-identical for any N")
     p.add_argument("--chunksize", type=int, default=None, metavar="K",
                    help="trials per worker chunk (default: ~4 chunks per worker)")
-    p.add_argument("--backend", choices=BACKENDS, default="auto",
-                   help="execution path per sweep point: auto routes through "
-                   "the array-first batch pipeline when every contender "
-                   "supports it; results are bit-identical either way")
     p.add_argument("--spark", action="store_true",
                    help="also render unicode sparklines per series")
     p.add_argument("--save", help="write results JSON here (with provenance)")
@@ -880,8 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solvers", help="list registered solvers and guarantees")
     p.add_argument("--kind", choices=SOLVER_KINDS, default=None,
-                   help="filter to one registry kind (e.g. --kind batch for "
-                   "trial-batched solvers)")
+                   help="filter to one registry kind (e.g. --kind heuristic "
+                   "for the Section VII baselines)")
     p.set_defaults(func=cmd_solvers)
 
     p = sub.add_parser("serve", help="run the allocation service daemon")
@@ -892,8 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--migration-cost", type=float, default=0.0)
     p.add_argument("--solver", default="alg2",
                    choices=[s.name for s in list_solvers()],
-                   help="registry algorithm for policy replans "
-                   "(e.g. algorithm2_batch for the array-first kernel)")
+                   help="registry algorithm for policy replans")
     p.add_argument("--drift", type=float, default=ALPHA,
                    help="replan when utility < DRIFT × super-optimal bound "
                    f"(default: the paper's α ≈ {ALPHA:.3f})")

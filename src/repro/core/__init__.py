@@ -2,11 +2,7 @@
 
 from repro.core.algorithm1 import algorithm1
 from repro.core.algorithm2 import algorithm2, thread_order
-from repro.core.algorithm2_batch import (
-    algorithm2_batch,
-    algorithm2_batch_kernel,
-    thread_order_batch,
-)
+from repro.core.algorithm2_batch import algorithm2_batch_kernel, thread_order_batch
 from repro.core.batch import (
     BatchAssignment,
     BatchLinearization,
@@ -41,7 +37,6 @@ __all__ = [
     "BatchProblem",
     "DiscreteLinearization",
     "Linearization",
-    "algorithm2_batch",
     "algorithm2_batch_kernel",
     "algorithm2_discrete",
     "linearize_batch",

@@ -13,13 +13,10 @@ per-trial fallback needed; only heterogeneous server counts across trials
 (never produced by the harness, whose sweep points fix ``m``) drop to a
 per-trial ordering loop.
 
-The module registers ``algorithm2_batch`` as an ordinary
-:class:`~repro.engine.registry.SolverSpec` (kind ``"batch"``): on a scalar
-:class:`~repro.core.problem.AAProblem` it wraps the instance as a
-one-trial batch, so ``aart solvers``, ``solve()``, the service's replan
-path and the benchmarks can select it like any other solver.  It also
-attaches itself as the ``batch_fn`` of the scalar ``alg2`` spec, which is
-how the experiment harness routes whole sweep points through this kernel.
+The module registers no solver name of its own: it attaches the kernel
+as the ``batch_fn`` of the scalar ``alg2`` spec, which is how the
+experiment harness routes whole sweep points through it.  A single
+instance goes through ``alg2``, whose scalar walk commits in exact blocks.
 """
 
 from __future__ import annotations
@@ -34,9 +31,7 @@ from repro.core.batch import (
     BatchLinearization,
     BatchProblem,
 )
-from repro.core.linearize import Linearization, linearize
-from repro.core.problem import ALPHA, AAProblem, Assignment
-from repro.engine.registry import attach_batch_fn, register_solver
+from repro.engine.registry import attach_batch_fn
 from repro.observability import ALG2_HEAP_OPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,32 +106,6 @@ def algorithm2_batch_kernel(
     return BatchAssignment(servers=servers, allocations=alloc)
 
 
-def algorithm2_batch(
-    problem: AAProblem,
-    lin: Linearization | None = None,
-    ctx: "SolveContext | None" = None,
-) -> Assignment:
-    """Scalar-contract adapter: run the batched kernel on one instance.
-
-    Same signature and semantics as
-    :func:`~repro.core.algorithm2.algorithm2` — and the same bits in the
-    result, since a one-trial batch walks the identical trajectory.
-    """
-    if lin is None:
-        lin = linearize(problem, ctx=ctx) if ctx is None else ctx.linearization(problem)
-    bp = BatchProblem(
-        problem.utilities,
-        n_trials=1,
-        n_servers=problem.n_servers,
-        capacity=problem.capacity,
-    )
-    blin = BatchLinearization.from_scalar(lin)
-    if ctx is None:
-        return algorithm2_batch_kernel(bp, blin, None).assignment(0)
-    with ctx.span("alg2_batch"):
-        return algorithm2_batch_kernel(bp, blin, ctx).assignment(0)
-
-
 def _batch_fn(
     bp: BatchProblem,
     blin: BatchLinearization | None,
@@ -145,21 +114,9 @@ def _batch_fn(
 ) -> BatchAssignment:
     """The registry ``batch_fn`` contract for alg2 (deterministic: rngs unused)."""
     if blin is None:
-        raise ValueError("algorithm2_batch requires a batch linearization")
+        raise ValueError("alg2's batch kernel requires a batch linearization")
     return algorithm2_batch_kernel(bp, blin, ctx)
 
-
-register_solver(
-    "algorithm2_batch",
-    lambda problem, lin, ctx, seed: algorithm2_batch(problem, lin, ctx=ctx),
-    kind="batch",
-    ratio=ALPHA,
-    complexity="O(n log n) per trial, vectorized over trials",
-    reclaim=True,
-    uses_linearization=True,
-    batch_fn=_batch_fn,
-    description="Array-first Algorithm 2: stacked two-key argsort + argmax walk",
-)
 
 # The scalar alg2 spec advertises this kernel as its trial-batched
 # implementation; the harness consults it when routing sweep points.

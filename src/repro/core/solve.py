@@ -1,10 +1,12 @@
 """High-level solver facade with a posteriori approximation certificates.
 
-Since the unified solver engine landed, this module holds no dispatch
-table of its own: ``solve()`` resolves its ``algorithm`` argument through
-the :mod:`repro.engine` registry, so any registered solver — the paper
-algorithms, the Section VII heuristics, extension solvers — can produce a
-certified :class:`Solution`.
+``solve()`` is the one end-to-end path for a registered solver: it
+resolves its ``algorithm`` argument through the :mod:`repro.engine`
+registry, shares one super-optimal linearization, runs the solver,
+reclaims from the clearing price λ* and validates, so any registered
+solver — the paper algorithms, the Section VII heuristics, extension
+solvers — produces a certified :class:`Solution`.  The CLI, the service's
+replans and the three application simulators all call it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.engine.registry import get_solver, list_solvers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import SolveContext
+    from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ def solve(
     lin: Linearization | None = None,
     reclaim: bool = True,
     ctx: "SolveContext | None" = None,
+    seed: "SeedLike" = None,
 ) -> Solution:
     """Solve an AA instance with a registered solver.
 
@@ -95,6 +99,11 @@ def solve(
         Optional :class:`~repro.engine.SolveContext` carrying the RNG,
         deadline, counters, any attached telemetry and the shared
         linearization cache.
+    seed:
+        Randomness for randomized solvers (the random heuristics);
+        deterministic solvers ignore it.  Defaults to ``ctx.rng`` when a
+        context is supplied.  Passing one seed to several solves gives
+        every contender the same draws.
 
     Returns
     -------
@@ -112,7 +121,7 @@ def solve(
     if ctx is None:
         if lin is None:
             lin = linearize(problem)
-        assignment = spec.run(problem, lin=lin, ctx=None, seed=None)
+        assignment = spec.run(problem, lin=lin, ctx=None, seed=seed)
         if reclaim and spec.reclaim:
             assignment = _reclaim(problem, assignment, ctx=None, start=lin.price)
     else:
@@ -121,7 +130,9 @@ def solve(
         with ctx.solve_span(spec.name):
             if lin is None:
                 lin = ctx.linearization(problem)
-            assignment = spec.run(problem, lin=lin, ctx=ctx, seed=ctx.rng)
+            if seed is None:
+                seed = ctx.rng
+            assignment = spec.run(problem, lin=lin, ctx=ctx, seed=seed)
             if reclaim and spec.reclaim:
                 assignment = _reclaim(problem, assignment, ctx=ctx, start=lin.price)
     assignment.validate(problem)

@@ -61,10 +61,9 @@ class SolverSpec:
         Normalized callable, see :class:`Solver`.
     kind:
         ``"paper"`` (the approximation algorithms), ``"heuristic"``
-        (Section VII baselines), ``"extension"`` (engineering add-ons) or
-        ``"batch"`` (array-first backends whose native unit of work is a
-        whole trial batch; their ``fn`` still honours the scalar contract
-        by wrapping single instances as one-trial batches).
+        (Section VII baselines) or ``"extension"`` (engineering add-ons).
+        A trial-batched kernel is no kind of its own: it rides on its
+        scalar solver's spec as :attr:`batch_fn`.
     ratio:
         Proven worst-case approximation ratio, or ``None`` when no bound
         is claimed (heuristics, heterogeneous adapter).
@@ -121,7 +120,7 @@ class SolverSpec:
         """Run the solver, resolving a missing linearization if it needs one.
 
         Returns the *raw* assignment — callers (or
-        :func:`repro.engine.run_solver`) decide about reclamation.  With
+        :func:`repro.core.solve.solve`) decide about reclamation.  With
         an instrumented context the whole solve runs under a
         ``solve.<name>`` root span, so linearization and solver spans
         become its children in the context's trace tree.
@@ -153,7 +152,7 @@ _REGISTRY: dict[str, SolverSpec] = {}
 
 
 #: Valid :attr:`SolverSpec.kind` values, in display order.
-SOLVER_KINDS = ("paper", "heuristic", "extension", "batch")
+SOLVER_KINDS = ("paper", "heuristic", "extension")
 
 
 def register_solver(
@@ -276,9 +275,9 @@ class RegistryView(Mapping[str, SolverSpec]):
 def solver_table(kind: str | None = None) -> str:
     """The registry as an aligned text table (CLI ``aart solvers``, docs).
 
-    ``kind`` filters to one registry kind (``aart solvers --kind batch``);
+    ``kind`` filters to one registry kind (``aart solvers --kind paper``);
     the ``batch`` column marks solvers with a trial-batched execution path
-    (an attached :attr:`SolverSpec.batch_fn` or a ``kind="batch"`` spec).
+    (an attached :attr:`SolverSpec.batch_fn`).
     """
     if kind is not None and kind not in SOLVER_KINDS:
         raise ValueError(
@@ -292,7 +291,7 @@ def solver_table(kind: str | None = None) -> str:
                 spec.kind,
                 f"{spec.ratio:.4f}" if spec.ratio is not None else "-",
                 "yes" if spec.reclaim else "no",
-                "yes" if spec.supports_batch or spec.kind == "batch" else "no",
+                "yes" if spec.supports_batch else "no",
                 spec.complexity or "-",
                 spec.description,
             )

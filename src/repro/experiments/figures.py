@@ -158,15 +158,14 @@ def run_figure(
     ctx=None,
     n_jobs: int | None = 1,
     chunksize: int | None = None,
-    backend: str = "auto",
 ) -> list[SweepPoint]:
     """Execute a registered panel and return its sweep points.
 
     ``n_jobs``/``chunksize`` fan each point's trials out over a process
-    pool (``aart figure --jobs``); ``backend`` picks the per-point
-    execution path (``aart figure --backend``, see
+    pool (``aart figure --jobs``); each point routes itself through the
+    batch pipeline when it can (see
     :func:`~repro.experiments.harness.run_point_arrays`).  The series are
-    bit-identical for any worker count and on either backend.
+    bit-identical for any worker count.
     """
     spec = FIGURES[figure_id]
     return run_sweep(
@@ -182,7 +181,6 @@ def run_figure(
         ctx=ctx,
         n_jobs=n_jobs,
         chunksize=chunksize,
-        backend=backend,
     )
 
 

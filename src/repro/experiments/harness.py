@@ -52,7 +52,7 @@ from repro.utility.batch import concat_batches
 from repro.workloads.generators import Distribution, make_problem, paper_utilities_batch
 from repro.utils.rng import LaneSeeds, SeedLike, TrialStreams
 
-#: Valid ``backend`` arguments of :func:`run_point_arrays` and friends.
+#: Valid ``backend`` arguments of :func:`run_point_arrays`.
 BACKENDS = ("auto", "batch", "scalar")
 
 #: Series name of the super-optimal bound in trial records.
@@ -474,7 +474,6 @@ def run_point(
     ctx: SolveContext | None = None,
     n_jobs: int | None = 1,
     chunksize: int | None = None,
-    backend: str = "auto",
 ) -> dict[str, float]:
     """Mean ratios (``alg2/SO``, ``alg2/UU``, …) at one parameter setting.
 
@@ -482,8 +481,7 @@ def run_point(
     with a fresh context, ``ctx.counters["linearize_calls"] == trials``
     afterwards (one linearization per trial instance, shared by every
     contender; a test asserts this) whether the trials ran serially or
-    across a pool (``n_jobs``; see :func:`run_point_arrays`) and on either
-    backend.
+    across a pool (``n_jobs``; see :func:`run_point_arrays`).
     """
     names, utilities = run_point_arrays(
         dist,
@@ -498,7 +496,6 @@ def run_point(
         ctx=ctx,
         n_jobs=n_jobs,
         chunksize=chunksize,
-        backend=backend,
     )
     alg2_col = names.index(ALG2)
     sums: dict[str, float] = {}
@@ -542,7 +539,6 @@ def run_sweep(
     ctx: SolveContext | None = None,
     n_jobs: int | None = 1,
     chunksize: int | None = None,
-    backend: str = "auto",
 ) -> list[SweepPoint]:
     """Run a figure-style sweep.
 
@@ -566,9 +562,6 @@ def run_sweep(
         Process-pool fan-out within each point (see
         :func:`run_point_arrays`); results are independent of the worker
         count.
-    backend:
-        Execution path per point (``"auto"``/``"batch"``/``"scalar"``,
-        see :func:`run_point_arrays`); never changes results.
     """
     values = list(sweep_values)
     point_seeds = sweep_point_seeds(seed, len(values))
@@ -590,7 +583,6 @@ def run_sweep(
             ctx=ctx,
             n_jobs=n_jobs,
             chunksize=chunksize,
-            backend=backend,
         )
         points.append(SweepPoint(value=float(value), ratios=ratios, trials=trials))
     return points

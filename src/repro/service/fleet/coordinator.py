@@ -307,7 +307,11 @@ class FleetCoordinator(FrontDoor):
         return [_accepted(k, r, "status") for k, r in self._fan_out(QueryAssignment())]
 
     def _certify(self, statuses: Sequence[dict[str, Any]]) -> FleetCertificate:
-        """Compose the fleet certificate and refresh gauges + gap monitor."""
+        """Compose the fleet certificate and refresh the fleet gauges.
+
+        Reads call this too, so it leaves the gap monitor alone: only a
+        mutating batch in :meth:`_process` counts as a certified step.
+        """
         cert = compose_certificates(
             ShardCertificate(
                 shard=k,
@@ -338,16 +342,6 @@ class FleetCoordinator(FrontDoor):
                     FLEET_RATIO,
                     help="Fleet utility/bound ratio (>= alpha by composition).",
                 ).set(ratio)
-            # A breach alert points at the binding shard (min ratio), using
-            # the same label key the shard-relabeled exposition uses.
-            min_shard = cert.min_shard
-            self._observe_gap(
-                cert.utility,
-                cert.bound,
-                step=self.steps,
-                fleet=True,
-                **({SHARD_LABEL: str(min_shard)} if min_shard is not None else {}),
-            )
         with self._lock:
             self.last_certificate = cert
         return cert
@@ -500,6 +494,15 @@ class FleetCoordinator(FrontDoor):
                     statuses = list(self._gather_statuses())
                     known = [s for s in statuses if s is not None]
                 cert = self._certify(known)
+                if cert.complete:
+                    # A breach alert points at the binding shard (min
+                    # ratio), under the label key the shard-relabeled
+                    # exposition uses.
+                    binding = cert.min_shard
+                    label = {} if binding is None else {SHARD_LABEL: str(binding)}
+                    self._observe_gap(
+                        cert.utility, cert.bound, step=self.steps, fleet=True, **label
+                    )
             self._observe_phase("batch", "certify", time.monotonic() - t_cert)
             if self._sink is not None:
                 self._sink.emit(

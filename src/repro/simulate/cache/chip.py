@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.allocation.mckp import MCKPItem, mckp_dp
 from repro.core.problem import AAProblem
-from repro.engine import SolveContext, list_solvers, run_solver
+from repro.core.solve import solve
+from repro.engine import SolveContext
 from repro.simulate.cache.curves import envelope_gap, hit_curve_batch
 from repro.simulate.cache.lru import hits_by_capacity, stack_distances
 from repro.utils.rng import SeedLike
@@ -124,22 +125,15 @@ def plan_partitioning(
     batch = hit_curve_batch(hit_curves, envelope=True)
     problem = AAProblem(batch, n_servers=n_cores, capacity=float(ways))
 
-    try:
-        run = run_solver(method, problem, ctx=ctx, seed=seed)
-    except ValueError:
-        names = sorted(s.name for s in list_solvers())
-        raise ValueError(
-            f"unknown method {method!r}; choose one of {names}"
-        ) from None
-    assignment = run.assignment
+    sol = solve(problem, method, ctx=ctx, seed=seed)
 
-    cores = assignment.servers
+    cores = sol.assignment.servers
     units = _integer_ways(hit_curves, cores, ways)
     realized = float(hit_curves[np.arange(hit_curves.shape[0]), units].sum())
     return PartitionPlan(
         cores=cores,
         ways=units,
-        planned_utility=assignment.total_utility(problem),
+        planned_utility=sol.total_utility,
         realized_hits=realized,
         max_envelope_gap=float(np.max(envelope_gap(hit_curves), initial=0.0)),
     )

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import AAProblem
-from repro.engine import SolveContext, get_linearization, list_solvers, run_solver
+from repro.core.solve import solve
+from repro.engine import SolveContext
 from repro.simulate.cloud.vm import VMRequest
 from repro.utility.batch import GenericBatch
 from repro.utils.rng import SeedLike
@@ -86,23 +87,13 @@ class CloudProvider:
                 revenue=0.0,
                 upper_bound=0.0,
             )
-        problem = self.problem_for(requests)
-        lin = get_linearization(problem, ctx)
-        try:
-            run = run_solver(method, problem, lin=lin, ctx=ctx, seed=seed)
-        except ValueError:
-            names = sorted(s.name for s in list_solvers())
-            raise ValueError(
-                f"unknown method {method!r}; choose one of {names}"
-            ) from None
-        assignment = run.assignment
-        assignment.validate(problem)
+        sol = solve(self.problem_for(requests), method, ctx=ctx, seed=seed)
         return ProvisioningPlan(
             requests=list(requests),
-            machines=assignment.servers,
-            sizes=assignment.allocations,
-            revenue=assignment.total_utility(problem),
-            upper_bound=lin.super_optimal_utility,
+            machines=sol.assignment.servers,
+            sizes=sol.assignment.allocations,
+            revenue=sol.total_utility,
+            upper_bound=sol.super_optimal_utility,
         )
 
     def compare_methods(

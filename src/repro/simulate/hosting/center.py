@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import AAProblem
-from repro.engine import SolveContext, get_linearization, list_solvers, run_solver
+from repro.core.solve import solve
+from repro.engine import SolveContext
 from repro.simulate.cache.curves import concave_envelope
 from repro.simulate.hosting.queueing import mm1k_goodput, simulate_mm1k
 from repro.utility.batch import GenericBatch
@@ -132,23 +133,13 @@ class HostingCenter:
         registry; ``ctx`` optionally carries counters, a deadline and the
         shared linearization cache.
         """
-        problem = self.problem_for(services)
-        lin = get_linearization(problem, ctx)
-        try:
-            run = run_solver(method, problem, lin=lin, ctx=ctx, seed=seed)
-        except ValueError:
-            names = sorted(s.name for s in list_solvers())
-            raise ValueError(
-                f"unknown method {method!r}; choose one of {names}"
-            ) from None
-        assignment = run.assignment
-        assignment.validate(problem)
+        sol = solve(self.problem_for(services), method, ctx=ctx, seed=seed)
         return HostingPlan(
             services=list(services),
-            servers=assignment.servers,
-            grants=assignment.allocations,
-            planned_value=assignment.total_utility(problem),
-            upper_bound=lin.super_optimal_utility,
+            servers=sol.assignment.servers,
+            grants=sol.assignment.allocations,
+            planned_value=sol.total_utility,
+            upper_bound=sol.super_optimal_utility,
         )
 
     def measure(

@@ -20,7 +20,7 @@ from repro.allocation import pack_demands_batch, price_discovery_batch_kernel
 from repro.core.batch import BatchProblem, linearize_batch
 from repro.core.problem import AAProblem
 from repro.core.solve import solve
-from repro.engine import SolveContext, SolveTimeout, get_solver, run_solver
+from repro.engine import SolveContext, SolveTimeout, get_solver
 from repro.observability import (
     LINEARIZE_CALLS,
     PRICE_CONVERGENCE_RESIDUAL,
@@ -47,7 +47,7 @@ def _paper_problem(dist_name, m, beta, seed):
 @settings(max_examples=40, deadline=None)
 @given(aa_problems(max_threads=10, max_servers=4))
 def test_always_feasible(problem):
-    a = run_solver("price_discovery", problem).assignment
+    a = solve(problem, "price_discovery").assignment
     a.validate(problem)
     assert np.all(a.allocations >= 0.0)
     assert np.all(a.server_loads(problem.n_servers) <= problem.capacity + 1e-9)
@@ -56,7 +56,7 @@ def test_always_feasible(problem):
 @settings(max_examples=25, deadline=None)
 @given(aa_problems(max_threads=8, max_servers=3))
 def test_scalar_equals_one_trial_batch(problem):
-    scalar = run_solver("price_discovery", problem).assignment
+    scalar = solve(problem, "price_discovery").assignment
     bp = BatchProblem(
         problem.utilities,
         n_trials=1,
@@ -83,8 +83,8 @@ def test_scalar_equals_one_trial_batch(problem):
 @example(dist_name="normal", m=4, beta=6.25, seed=23461840)
 def test_utility_within_rtol_of_alg2_oracle(dist_name, m, beta, seed):
     problem = _paper_problem(dist_name, m, beta, seed)
-    oracle = run_solver("alg2", problem).assignment.total_utility(problem)
-    priced = run_solver("price_discovery", problem)
+    oracle = solve(problem, "alg2").assignment.total_utility(problem)
+    priced = solve(problem, "price_discovery")
     priced.assignment.validate(problem)
     utility = priced.assignment.total_utility(problem)
     assert utility >= oracle * (1.0 - 0.05)
@@ -92,8 +92,8 @@ def test_utility_within_rtol_of_alg2_oracle(dist_name, m, beta, seed):
 
 def test_large_instance_tracks_oracle_within_one_percent():
     problem = _paper_problem("uniform", 64, 8.0, 123)
-    oracle = run_solver("alg2", problem).assignment.total_utility(problem)
-    utility = run_solver("price_discovery", problem).assignment.total_utility(problem)
+    oracle = solve(problem, "alg2").assignment.total_utility(problem)
+    utility = solve(problem, "price_discovery").assignment.total_utility(problem)
     assert utility >= oracle * 0.99
 
 
@@ -108,7 +108,7 @@ def test_per_server_refill_is_kkt_optimal():
     from repro.allocation import kkt_violation
 
     problem = _paper_problem("uniform", 16, 8.0, 3)
-    a = run_solver("price_discovery", problem).assignment
+    a = solve(problem, "price_discovery").assignment
     for j in range(problem.n_servers):
         members = np.where(a.servers == j)[0]
         if members.size == 0:
@@ -127,9 +127,9 @@ def test_slack_pool_grants_caps():
     problem = AAProblem(
         [LinearUtility(2.0, 5.0), LinearUtility(1.0, 5.0)], n_servers=2, capacity=10.0
     )
-    run = run_solver("price_discovery", problem)
-    assert run.linearization.price == 0.0
-    assert np.array_equal(run.assignment.allocations, [5.0, 5.0])
+    sol = solve(problem, "price_discovery")
+    assert sol.linearization.price == 0.0
+    assert np.array_equal(sol.assignment.allocations, [5.0, 5.0])
 
 
 # -- packing ----------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_batch_twin_bit_identical_and_counter_parity():
     summed = {}
     for t, problem in enumerate(problems):
         ctx_s = SolveContext()
-        scalar = run_solver("price_discovery", problem, ctx=ctx_s).assignment
+        scalar = solve(problem, "price_discovery", ctx=ctx_s).assignment
         assert np.array_equal(scalar.servers, batch.servers[t])
         assert np.array_equal(scalar.allocations, batch.allocations[t])
         for name, value in ctx_s.counters.items():
@@ -200,7 +200,7 @@ def test_one_super_optimal_fill_per_solve():
 def test_solve_span_traced():
     problem = _paper_problem("uniform", 4, 8.0, 5)
     ctx = SolveContext(tracer=Tracer())
-    run_solver("price_discovery", problem, ctx=ctx)
+    solve(problem, "price_discovery", ctx=ctx)
     leaf = {"count": 1, "children": {}}
     assert ctx.tracer.skeleton() == {
         "solve.price_discovery": {
@@ -213,7 +213,7 @@ def test_solve_span_traced():
 def test_deadline_abandon_mid_iteration():
     problem = _paper_problem("uniform", 64, 8.0, 9)
     with pytest.raises(SolveTimeout):
-        run_solver("price_discovery", problem, ctx=SolveContext(budget_s=1e-9))
+        solve(problem, "price_discovery", ctx=SolveContext(budget_s=1e-9))
 
 
 # -- registry ----------------------------------------------------------------

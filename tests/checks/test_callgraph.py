@@ -165,7 +165,9 @@ def test_real_tree_edges_and_registrations_are_well_formed():
     for entry in graph.registered_entries:
         assert entry in graph.functions
     shipped = {entry.rsplit(".", 2)[-2:][0] for entry in graph.registered_entries}
-    assert {"algorithm1", "algorithm2", "algorithm2_batch"} <= shipped
+    assert {"algorithm1", "algorithm2"} <= shipped
+    # alg2's batch twin is attached to the alg2 spec, not registered by name.
+    assert "repro.core.algorithm2_batch._batch_fn" in graph.registered_entries
 
 
 def test_real_tree_transport_protocols_are_detected():

@@ -27,7 +27,7 @@ from repro.core.linearize import linearize
 from repro.core.postprocess import reclaim
 from repro.core.problem import ALPHA
 from repro.core.solve import solve
-from repro.engine import LinearizationCache, SolveContext, get_solver
+from repro.engine import SOLVER_KINDS, LinearizationCache, SolveContext, get_solver, list_solvers
 from repro.experiments.harness import run_point_arrays
 from repro.observability import (
     BATCH_EVALUATIONS,
@@ -319,8 +319,8 @@ def test_generic_batch_reports_no_vectorized_support():
     assert problem.utilities.supports_vectorized is not None
 
 
-def test_registry_exposes_batch_solver_kind():
-    spec = get_solver("algorithm2_batch")
-    assert spec.kind == "batch"
-    assert spec.supports_batch
-    assert get_solver("alg2").supports_batch  # attach_batch_fn wired it
+def test_alg2_is_the_one_registry_name_for_its_batch_kernel():
+    alg2 = get_solver("alg2")
+    assert alg2.supports_batch  # attach_batch_fn wired it
+    assert [s.name for s in list_solvers() if s.batch_fn is alg2.batch_fn] == ["alg2"]
+    assert "batch" not in SOLVER_KINDS

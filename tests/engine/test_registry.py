@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.problem import AAProblem
+from repro.core.solve import solve
 from repro.core.tightness import tightness_instance
 from repro.engine import (
     RegistryView,
     get_solver,
     list_solvers,
     register_solver,
-    run_solver,
     solver_table,
     unregister_solver,
 )
@@ -47,19 +47,16 @@ def test_every_builtin_registered_with_expected_kind():
 )
 def test_every_builtin_produces_feasible_assignment(name):
     p = _problem()
-    run = run_solver(name, p, seed=0)
-    run.assignment.validate(p)
-    assert run.spec.name == name
-    if run.spec.uses_linearization:
-        assert run.linearization is not None
+    sol = solve(p, name, seed=0)
+    sol.assignment.validate(p)
+    assert sol.algorithm == name
+    assert sol.linearization is not None
 
 
 def test_paper_solvers_meet_guarantee_on_tightness_instance():
     p = tightness_instance()
     for name in ("alg1", "alg2"):
-        run = run_solver(name, p)
-        util = run.assignment.total_utility(p)
-        assert util == pytest.approx(2.5)
+        assert solve(p, name).total_utility == pytest.approx(2.5)
 
 
 def test_unknown_solver_raises_with_names():

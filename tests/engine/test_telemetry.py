@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core.solve import solve
-from repro.engine import SolveContext, run_solver
+from repro.engine import SolveContext
 from repro.experiments.harness import run_point_arrays
 from repro.observability import (
     SPAN_SECONDS,
@@ -48,10 +48,10 @@ def test_solve_opens_one_root_span_with_children():
     assert "linearize" in child_names and "alg2" in child_names
 
 
-def test_run_solver_and_spec_run_do_not_double_count_the_root():
+def test_solve_and_spec_run_do_not_double_count_the_root():
     """solve() holds solve.<name>; the registry's nested attempt collapses."""
     ctx = _full_ctx()
-    run_solver("alg2", _problem(), ctx=ctx)
+    solve(_problem(), "alg2", ctx=ctx)
     skel = ctx.tracer.skeleton()
     assert skel["solve.alg2"]["count"] == 1
     assert ctx.metrics.histogram(SPAN_SECONDS, span="solve.alg2").count == 1

@@ -9,6 +9,7 @@ from repro.observability import (
     FLEET_REBALANCES,
     FLEET_STEPS,
     FlightRecorder,
+    GapMonitor,
     MemorySink,
 )
 from repro.service import (
@@ -196,6 +197,25 @@ def test_certificate_composes_and_holds_alpha_under_churn():
     assert cert.ratio >= cert.min_shard_ratio - 1e-9
     assert cert.ratio <= cert.max_shard_ratio + 1e-9
     assert fleet.gap.stats()["ok"]
+
+
+def test_reads_do_not_count_as_certified_steps():
+    """Only a mutating batch feeds the gap monitor; status reads do not."""
+    sink = MemorySink()
+    fleet = _fleet(sink=sink, gap=GapMonitor(threshold=1.5))  # every step breaches
+    _submit_burst(fleet, 1)
+    before = fleet.gap.stats()
+    assert (before["steps"], before["breaches"]) == (1, 1)
+    alerts = len(sink.of_type("gap_alert"))
+    for _ in range(5):
+        fleet.status()
+    (resp,) = fleet.process([QueryAssignment()])
+    assert resp.ok
+    fleet.certificate()
+    after = fleet.gap.stats()
+    assert (after["steps"], after["breaches"]) == (1, 1)
+    assert len(sink.of_type("gap_alert")) == alerts
+    assert fleet.last_certificate is not None
 
 
 def test_empty_fleet_certifies_trivially():

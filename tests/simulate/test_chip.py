@@ -55,7 +55,7 @@ def test_alg2_beats_random_heuristics_on_average():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="unknown algorithm"):
         plan_partitioning(_mixed_traces(), 2, 12, method="ABC")
 
 

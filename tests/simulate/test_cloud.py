@@ -80,5 +80,5 @@ def test_rejected_requests_have_zero_size():
 
 def test_unknown_method():
     provider = CloudProvider(2, 64.0)
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="unknown algorithm"):
         provider.plan(random_portfolio(4, 64.0, seed=0), method="magic")

@@ -95,7 +95,7 @@ def test_measured_close_to_planned():
 
 def test_unknown_method():
     center = HostingCenter(2, 30.0)
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="unknown algorithm"):
         center.plan(random_services(4, seed=0), method="nope")
 
 
