@@ -56,7 +56,6 @@ from repro.observability.counters import (
 )
 from repro.observability.exposition import (
     PROMETHEUS_CONTENT_TYPE,
-    counters_to_snapshot,
     merge_snapshots,
     relabel_snapshot,
     render_json,
@@ -179,7 +178,6 @@ __all__ = [
     "TeeSink",
     "Tracer",
     "chrome_trace",
-    "counters_to_snapshot",
     "load_flight",
     "write_flight",
     "merge_snapshots",

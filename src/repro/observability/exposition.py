@@ -44,33 +44,6 @@ def _fmt_labels(labels: Mapping[str, str], extra: tuple[tuple[str, str], ...] = 
     return "{" + ",".join(f'{k}="{_escape(v)}"' for k, v in items) + "}"
 
 
-def counters_to_snapshot(
-    counters: Mapping[str, int], prefix: str = "aart_", help_text: str = ""
-) -> dict[str, Any]:
-    """Adapt a plain :class:`~repro.observability.Counters` mapping.
-
-    Each named counter becomes a ``{prefix}{name}_total`` counter
-    instrument snapshot, so the daemon's lifetime counters render next to
-    its typed instruments in one exposition.
-    """
-    from repro.observability.metrics import METRICS_FORMAT
-
-    return {
-        "format": METRICS_FORMAT,
-        "instruments": [
-            {
-                "kind": "counter",
-                "name": f"{prefix}{name}_total",
-                "help": help_text,
-                "labels": {},
-                "value": float(value),
-                "partials": [float(value)],
-            }
-            for name, value in sorted(counters.items())
-        ],
-    }
-
-
 def relabel_snapshot(snapshot: dict[str, Any], **labels: str) -> dict[str, Any]:
     """A copy of ``snapshot`` with ``labels`` stamped onto every instrument.
 

@@ -23,11 +23,12 @@ document.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from typing import Any, Callable
+
+from repro.utils.atomic import write_atomic
 
 FLIGHT_FORMAT = "aart-flight/1"
 
@@ -131,13 +132,9 @@ class FlightRecorder:
 
 
 def write_flight(doc: dict[str, Any], path: str) -> None:
-    """Atomically write a flight document as JSON (tmp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Atomically write a flight document as JSON (see
+    :func:`~repro.utils.atomic.write_atomic`)."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def load_flight(path: str) -> dict[str, Any]:

@@ -193,30 +193,12 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A point-in-time value with an explicit cross-process merge policy.
-
-    ``aggregation`` decides what :meth:`merge` does with another gauge's
-    value: ``"last"`` (the merged-in value wins — right for "current"
-    readings reported by the owner), ``"sum"``, ``"max"`` or ``"min"``
-    (right for per-worker readings that compose).
-    """
+    """A point-in-time value; merging another gauge's value replaces it."""
 
     kind = "gauge"
-    _AGGREGATIONS = ("last", "sum", "max", "min")
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict[str, str] | None = None,
-        aggregation: str = "last",
-    ):
+    def __init__(self, name: str, help: str = "", labels: dict[str, str] | None = None):
         super().__init__(name, help, labels)
-        if aggregation not in self._AGGREGATIONS:
-            raise ValueError(
-                f"aggregation must be one of {self._AGGREGATIONS}, got {aggregation!r}"
-            )
-        self.aggregation = aggregation
         self._value = 0.0
         self._set = False
 
@@ -232,29 +214,12 @@ class Gauge(_Instrument):
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                **self._meta(),
-                "aggregation": self.aggregation,
-                "value": self._value,
-                "set": self._set,
-            }
+            return {**self._meta(), "value": self._value, "set": self._set}
 
     def merge(self, snap: dict[str, Any]) -> None:
-        if not snap.get("set", True):
-            return
-        other = float(snap["value"])
-        with self._lock:
-            if not self._set:
-                self._value = other
-            elif self.aggregation == "last":
-                self._value = other
-            elif self.aggregation == "sum":
-                self._value += other
-            elif self.aggregation == "max":
-                self._value = max(self._value, other)
-            else:
-                self._value = min(self._value, other)
-            self._set = True
+        """Last wins; a snapshot of a gauge never set is a no-op."""
+        if snap.get("set", True):
+            self.set(snap["value"])
 
 
 class Histogram(_Instrument):
@@ -389,10 +354,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(
-        self, name: str, help: str = "", aggregation: str = "last", **labels: str
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels, aggregation=aggregation)
+    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
+        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -437,8 +400,6 @@ class MetricsRegistry:
         for inst_snap in snap["instruments"]:
             cls = _KINDS[inst_snap["kind"]]
             kwargs: dict[str, Any] = {}
-            if inst_snap["kind"] == "gauge":
-                kwargs["aggregation"] = inst_snap.get("aggregation", "last")
             if inst_snap["kind"] == "histogram":
                 kwargs["buckets"] = inst_snap["buckets"]
             inst = self._get_or_create(

@@ -92,7 +92,7 @@ from repro.service.fleet.certificate import (
     compose_certificates,
 )
 from repro.service.fleet.router import ShardRouter
-from repro.service.frontdoor import FrontDoor
+from repro.service.frontdoor import FrontDoor, Reading
 from repro.service.server import AllocationService
 from repro.service.transport import InProcessTransport
 
@@ -249,10 +249,7 @@ class FleetCoordinator(FrontDoor):
         self._lock = threading.Lock()
         self._location: dict[str, int] = {}
         self._utilities: dict[str, Any] = {}
-        self.steps = 0
         self.steps_since_rebalance = 0
-        self.migrations = 0
-        self.rebalances = 0
         self.last_certificate: FleetCertificate | None = None
         if sync:
             self.sync_from_shards()
@@ -262,6 +259,21 @@ class FleetCoordinator(FrontDoor):
     @property
     def n_shards(self) -> int:
         return len(self.transports)
+
+    @property
+    def steps(self) -> int:
+        """Coalesced fleet steps so far (the ``fleet_steps`` counter)."""
+        return self.counters.get(FLEET_STEPS, 0)
+
+    @property
+    def migrations(self) -> int:
+        """Threads moved between shards so far (``fleet_migrations``)."""
+        return self.counters.get(FLEET_MIGRATIONS, 0)
+
+    @property
+    def rebalances(self) -> int:
+        """Cross-shard rebalance passes so far (``fleet_rebalances``)."""
+        return self.counters.get(FLEET_REBALANCES, 0)
 
     @property
     def n_threads(self) -> int:
@@ -307,7 +319,7 @@ class FleetCoordinator(FrontDoor):
         return [_accepted(k, r, "status") for k, r in self._fan_out(QueryAssignment())]
 
     def _certify(self, statuses: Sequence[dict[str, Any]]) -> FleetCertificate:
-        """Compose the fleet certificate and refresh the fleet gauges.
+        """Compose the fleet certificate and keep it as ``last_certificate``.
 
         Reads call this too, so it leaves the gap monitor alone: only a
         mutating batch in :meth:`_process` counts as a certified step.
@@ -322,26 +334,6 @@ class FleetCoordinator(FrontDoor):
             )
             for k, s in enumerate(statuses)
         )
-        n_threads = sum(int(s["n_threads"]) for s in statuses)
-        self.metrics.gauge(FLEET_SHARDS, help="Shards behind this coordinator.").set(
-            self.n_shards
-        )
-        self.metrics.gauge(
-            FLEET_THREADS, help="Threads resident across the whole fleet."
-        ).set(n_threads)
-        self.metrics.gauge(
-            FLEET_UTILITY, help="Summed realized utility across shards."
-        ).set(cert.utility)
-        if cert.complete:
-            self.metrics.gauge(
-                FLEET_BOUND, help="Summed per-shard super-optimal bounds."
-            ).set(cert.bound)
-            ratio = cert.ratio
-            if ratio is not None:
-                self.metrics.gauge(
-                    FLEET_RATIO,
-                    help="Fleet utility/bound ratio (>= alpha by composition).",
-                ).set(ratio)
         with self._lock:
             self.last_certificate = cert
         return cert
@@ -454,7 +446,6 @@ class FleetCoordinator(FrontDoor):
             statuses = list(self._gather_statuses())
         elif mutated:
             with self._lock:
-                self.steps += 1
                 self.steps_since_rebalance += 1
             self.counters.add(FLEET_STEPS)
             full = [
@@ -470,8 +461,6 @@ class FleetCoordinator(FrontDoor):
                 self.rebalance(reason=reason, per_shard=False)
                 statuses = list(self._gather_statuses())
         if rebalance_slots:
-            with self._lock:
-                self.steps += 1
             self.counters.add(FLEET_STEPS)
             for i in rebalance_slots:
                 req = requests[i]
@@ -607,7 +596,6 @@ class FleetCoordinator(FrontDoor):
         )
         self.counters.add(FLEET_REBALANCES)
         with self._lock:
-            self.rebalances += 1
             self.steps_since_rebalance = 0
         if per_shard:
             for transport in self.transports:
@@ -695,7 +683,6 @@ class FleetCoordinator(FrontDoor):
             if gain > self.policy.min_gain:
                 with self._lock:
                     self._location[tid] = receiver
-                    self.migrations += 1
                 moved += 1
                 self.counters.add(FLEET_MIGRATIONS)
                 u_donor, u_receiver = new_u_donor, new_u_receiver
@@ -808,6 +795,28 @@ class FleetCoordinator(FrontDoor):
                 for _, resp in self._fan_out(QueryFlight())
             ]
         }
+
+    def _gauges(self) -> list[Reading]:
+        """The shard count, and the fleet totals of ``last_certificate``."""
+        readings: list[Reading] = [
+            (FLEET_SHARDS, "Shards behind this coordinator.", self.n_shards, {})
+        ]
+        with self._lock:
+            cert = self.last_certificate
+        if cert is None:
+            return readings
+        n_threads = sum(c.n_threads for c in cert.shards)
+        readings += [
+            (FLEET_THREADS, "Threads resident across the whole fleet.", n_threads, {}),
+            (FLEET_UTILITY, "Summed realized utility across shards.", cert.utility, {}),
+        ]
+        if cert.complete:
+            readings += [
+                (FLEET_BOUND, "Summed per-shard super-optimal bounds.", cert.bound, {}),
+                (FLEET_RATIO, "Fleet utility/bound ratio (>= alpha by composition).",
+                 cert.ratio, {}),
+            ]
+        return readings
 
     def _identity(self) -> dict[str, Any]:
         return {"fleet": True, "n_shards": self.n_shards}

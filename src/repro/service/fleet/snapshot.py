@@ -13,18 +13,19 @@ The snapshot is taken via each shard's ``Snapshot`` request — the reads
 run post-step against quiesced shard state, and the coordinator issues
 them from one call site, so the document is a consistent cut as long as
 no writes race the capture (the CLI and smoke gate snapshot between
-batches).  Writes go through a temp file plus ``os.replace``: a crash
-mid-write never leaves a torn snapshot.
+batches).  Writes go through :func:`~repro.utils.atomic.write_atomic`
+(an fsynced temp file plus ``os.replace``): a crash mid-write never
+leaves a torn snapshot.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.service.state import ClusterState
+from repro.utils.atomic import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.fleet.coordinator import FleetCoordinator
@@ -88,10 +89,7 @@ def fleet_snapshot_from_dict(
 
 def save_fleet_snapshot(coordinator: "FleetCoordinator", path) -> None:
     """Atomically persist the fleet as JSON at ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(fleet_snapshot_to_dict(coordinator), indent=2))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(fleet_snapshot_to_dict(coordinator), indent=2))
 
 
 def load_fleet_snapshot(path, **coordinator_kwargs: Any) -> "FleetCoordinator":

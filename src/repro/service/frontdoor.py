@@ -5,7 +5,8 @@
 serve the same protocol, ``/metrics``, ``/healthz`` and
 ``/debug/flight``.  :class:`FrontDoor` holds what they serve the same
 way: the telemetry wiring, the gap-alert emit, the merged metrics
-snapshot and its exposition, the flight read, the ``QueryFlight`` /
+snapshot (histograms, lifetime counters and gauges read at scrape time)
+and its exposition, the flight read, the ``QueryFlight`` /
 ``QueryMetrics`` answers, ``health`` and ``handle``, and the per-batch
 tracing and phase-latency plumbing both ``process`` methods call.
 """
@@ -24,7 +25,6 @@ from repro.observability import (
     GapMonitor,
     MetricsRegistry,
     Tracer,
-    counters_to_snapshot,
     merge_snapshots,
     render_prometheus,
     stamp_remote,
@@ -39,6 +39,10 @@ from repro.service.api import (
     response_to_dict,
 )
 
+#: One gauge reading, ``(name, help, value, labels)``.  Gauges are not
+#: stored: each scrape asks the door for its readings afresh.
+Reading = tuple[str, str, float, dict[str, str]]
+
 _PHASE_HELP = (
     "Request latency split by phase (queue wait, coalesce wait, solve, serialize)."
 )
@@ -50,9 +54,10 @@ class FrontDoor:
     A subclass defines ``process`` in its own body and fills in what
     differs: ``_identity()`` (the fields naming which door answered, in
     ``QueryMetrics`` and ``health``), ``_health_fields()`` (whether its
-    own parts are ok, and the rest of ``health``), ``_read(req)`` (every
-    other read) and, optionally, ``_extra_snapshots()`` and
-    ``_extra_flight()``.
+    own parts are ok, and the rest of ``health``), ``_gauges()`` (its
+    :data:`Reading` list, read from its state at each scrape),
+    ``_read(req)`` (every other read) and, optionally,
+    ``_extra_snapshots()`` and ``_extra_flight()``.
 
     ``sink`` receives every event (teed into ``flight``, which keeps the
     notable subset); ``metrics`` and ``gap`` are created fresh when
@@ -151,11 +156,15 @@ class FrontDoor:
         return []
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Typed instruments plus lifetime counters as ONE mergeable snapshot."""
+        """ONE mergeable snapshot: the registry's histograms, the lifetime
+        counters as ``aart_<name>_total`` and the gauges, read now."""
+        live = MetricsRegistry()
+        for name, help, value, labels in self._gauges():
+            live.gauge(name, help=help, **labels).set(value)
+        for name, value in self.counters.snapshot().items():
+            live.counter(f"aart_{name}_total").inc(value)
         return merge_snapshots(
-            self.metrics.snapshot(),
-            counters_to_snapshot(self.counters.snapshot()),
-            *self._extra_snapshots(),
+            self.metrics.snapshot(), live.snapshot(), *self._extra_snapshots()
         )
 
     def metrics_text(self) -> str:

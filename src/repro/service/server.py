@@ -62,7 +62,7 @@ from repro.service.api import (
     SubmitThread,
     UpdateCapacity,
 )
-from repro.service.frontdoor import FrontDoor
+from repro.service.frontdoor import FrontDoor, Reading
 from repro.service.policy import AdmissionPolicy, ReplanPolicy
 from repro.service.state import ClusterState
 from repro.utils.rng import SeedLike, as_generator
@@ -92,9 +92,10 @@ class AllocationService(FrontDoor):
     metrics:
         Typed instrument registry (created fresh when omitted).  Every
         step records per-op request latency and step-duration histograms
-        plus queue-depth / thread-count / utility / per-server-residual
-        gauges; :meth:`metrics_text` renders everything — lifetime
-        counters included — in Prometheus text format.
+        in it.  :meth:`metrics_text` renders them with the lifetime
+        counters and the queue-depth / thread-count / utility /
+        per-server-residual / bound / ratio gauges, which are read from
+        the live state at scrape time, in Prometheus text format.
     gap:
         The :class:`~repro.observability.GapMonitor` watching certified
         utility/bound ratios against the paper's α guarantee (created
@@ -169,9 +170,6 @@ class AllocationService(FrontDoor):
                 )
             return Response.failure(request.op, reason, request_id=request.request_id)
         self._pending.append((request, time.monotonic()))
-        self.metrics.gauge(QUEUE_DEPTH, help="Mutations queued for the next step.").set(
-            len(self._pending)
-        )
         return None
 
     @property
@@ -289,7 +287,6 @@ class AllocationService(FrontDoor):
         self.metrics.histogram(
             STEP_SECONDS, help="Duration of each coalesced service step."
         ).observe(now - t_start)
-        self._observe_state_gauges()
         if self._sink is not None:
             self._sink.emit(
                 {
@@ -305,24 +302,6 @@ class AllocationService(FrontDoor):
                 }
             )
         return [responses[k] for k in range(len(batch))]
-
-    def _observe_state_gauges(self) -> None:
-        """Refresh the point-in-time gauges from the post-step state."""
-        self.metrics.gauge(
-            QUEUE_DEPTH, help="Mutations queued for the next step."
-        ).set(self.queue_length)
-        self.metrics.gauge(GAUGE_THREADS, help="Threads currently scheduled.").set(
-            self.state.n_threads
-        )
-        self.metrics.gauge(
-            GAUGE_UTILITY, help="Total realized utility of the serving state."
-        ).set(self.state.total_utility())
-        for j, load in enumerate(self._server_loads()):
-            self.metrics.gauge(
-                SERVER_RESIDUAL,
-                help="Unallocated capacity per server.",
-                server=str(j),
-            ).set(self.state.capacity - load)
 
     def _server_loads(self) -> list[float]:
         if not self.state.n_threads:
@@ -428,12 +407,6 @@ class AllocationService(FrontDoor):
         self.last_ratio = utility / bound if bound > 0 else 1.0
         self.last_certified_version = self.state.version
         self._observe_gap(utility, bound, version=self.state.version)
-        self.metrics.gauge(
-            GAUGE_BOUND, help="Super-optimal utility bound at last certification."
-        ).set(bound)
-        self.metrics.gauge(
-            GAUGE_RATIO, help="Certified utility/bound ratio (guaranteed >= alpha)."
-        ).set(self.last_ratio)
         info.update(utility=utility, bound=bound, ratio=self.last_ratio)
         return info
 
@@ -455,6 +428,27 @@ class AllocationService(FrontDoor):
             "last_certified_version": self.last_certified_version,
             "counters": self.counters.snapshot(),
         }
+
+    def _gauges(self) -> list[Reading]:
+        utility = self.state.total_utility()
+        readings: list[Reading] = [
+            (QUEUE_DEPTH, "Mutations queued for the next step.", self.queue_length, {}),
+            (GAUGE_THREADS, "Threads currently scheduled.", self.state.n_threads, {}),
+            (GAUGE_UTILITY, "Total realized utility of the serving state.", utility, {}),
+        ]
+        for j, load in enumerate(self._server_loads()):
+            residual = self.state.capacity - load
+            readings.append(
+                (SERVER_RESIDUAL, "Unallocated capacity per server.", residual, {"server": str(j)})
+            )
+        if self.last_bound is not None:
+            readings += [
+                (GAUGE_BOUND, "Super-optimal utility bound at last certification.",
+                 self.last_bound, {}),
+                (GAUGE_RATIO, "Certified utility/bound ratio (guaranteed >= alpha).",
+                 self.last_ratio, {}),
+            ]
+        return readings
 
     def _identity(self) -> dict[str, Any]:
         return {"version": self.state.version}

@@ -3,18 +3,19 @@
 The snapshot is one JSON document (format ``aart-snapshot/1``) wrapping
 the state dict, so a restarted daemon comes back *warm*: same residents,
 same placements, same allocations, same version and event log —
-bit-identical to the state that was saved.  Writes go through a temp file
-plus ``os.replace`` so a crash mid-write never leaves a torn snapshot.
+bit-identical to the state that was saved.  Writes go through
+:func:`~repro.utils.atomic.write_atomic` (an fsynced temp file plus
+``os.replace``), so a crash mid-write never leaves a torn snapshot.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
 
 from repro.service.state import ClusterState
+from repro.utils.atomic import write_atomic
 
 SNAPSHOT_FORMAT = "aart-snapshot/1"
 
@@ -35,10 +36,7 @@ def snapshot_from_dict(data: dict[str, Any]) -> ClusterState:
 
 def save_snapshot(state: ClusterState, path) -> None:
     """Atomically persist ``state`` as JSON at ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(snapshot_to_dict(state), indent=2))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(snapshot_to_dict(state), indent=2))
 
 
 def load_snapshot(path) -> ClusterState:

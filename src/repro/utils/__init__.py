@@ -1,5 +1,6 @@
-"""Shared low-level utilities: seeded RNG, validation, timing."""
+"""Shared low-level utilities: seeded RNG, validation, timing, atomic writes."""
 
+from repro.utils.atomic import write_atomic
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timing import Timer
 from repro.utils.validation import (
@@ -17,4 +18,5 @@ __all__ = [
     "check_positive",
     "check_probability",
     "spawn_generators",
+    "write_atomic",
 ]

@@ -22,7 +22,6 @@ from repro.observability import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counters_to_snapshot,
     merge_snapshots,
     render_json,
     render_prometheus,
@@ -109,25 +108,17 @@ def test_counter_monotonic():
         c.inc(-1)
 
 
-def test_gauge_aggregations():
-    for agg, expect in (("last", 2.0), ("sum", 5.0), ("max", 3.0), ("min", 2.0)):
-        a, b = Gauge("g", aggregation=agg), Gauge("g", aggregation=agg)
-        a.set(3.0)
-        b.set(2.0)
-        a.merge(b.snapshot())
-        assert a.value == expect, agg
-    with pytest.raises(ValueError):
-        Gauge("g", aggregation="median")
-
-
 def test_gauge_merge_unset_is_noop_and_unset_target_adopts():
-    a, b = Gauge("g", aggregation="min"), Gauge("g", aggregation="min")
+    a, b = Gauge("g"), Gauge("g")
     a.set(3.0)
     a.merge(b.snapshot())  # b never set → no-op
     assert a.value == 3.0
-    c = Gauge("g", aggregation="min")
-    c.merge(a.snapshot())  # c never set → adopts regardless of aggregation
+    c = Gauge("g")
+    c.merge(a.snapshot())  # c never set → adopts
     assert c.value == 3.0
+    b.set(2.0)
+    a.merge(b.snapshot())  # both set → the merged-in value wins
+    assert a.value == 2.0
 
 
 def test_histogram_buckets_fixed_and_validated():
@@ -265,14 +256,13 @@ def test_render_json_strips_partials_and_is_stable():
     assert any("partials" in inst for inst in snap["instruments"])
 
 
-def test_counters_to_snapshot_and_merge_snapshots():
-    counters = {"steps": 4, "arrivals": 9}
-    snap = counters_to_snapshot(counters)
-    names = [i["name"] for i in snap["instruments"]]
-    assert names == ["aart_arrivals_total", "aart_steps_total"]
+def test_merge_snapshots_concatenates_and_sorts():
+    counted = MetricsRegistry()
+    counted.counter("aart_steps_total").inc(4)
+    counted.counter("aart_arrivals_total").inc(9)
     reg = MetricsRegistry()
     reg.gauge("aart_depth").set(1)
-    combined = merge_snapshots(reg.snapshot(), snap)
+    combined = merge_snapshots(reg.snapshot(), counted.snapshot())
     assert [i["name"] for i in combined["instruments"]] == [
         "aart_arrivals_total",
         "aart_depth",

@@ -8,11 +8,14 @@ import pytest
 
 from repro.core.problem import ALPHA
 from repro.observability import (
+    GAUGE_BOUND,
     GAUGE_RATIO,
     GAUGE_THREADS,
+    GAUGE_UTILITY,
     QUEUE_DEPTH,
     REQUEST_LATENCY,
     PROMETHEUS_CONTENT_TYPE,
+    SERVER_RESIDUAL,
     GapMonitor,
 )
 from repro.service import (
@@ -24,6 +27,7 @@ from repro.service import (
     MetricsHttpServer,
     QueryMetrics,
     Rebalance,
+    RemoveThread,
     ReplanPolicy,
     SubmitThread,
     TcpServer,
@@ -91,6 +95,39 @@ def test_gauges_track_cluster_state():
     assert len(residuals) == svc.state.n_servers
     for inst in residuals:
         assert 0.0 <= inst["value"] <= CAP
+
+
+def _samples(front):
+    """``{(name, labels): value}`` of every gauge and counter in a scrape."""
+    return {
+        (i["name"], tuple(sorted(i["labels"].items()))): i["value"]
+        for i in front.metrics_snapshot()["instruments"]
+        if i["kind"] != "histogram"
+    }
+
+
+def test_restored_service_exports_state_gauges_before_its_first_step():
+    svc, _ = _loaded_service()
+    restored = AllocationService(ClusterState.from_dict(svc.state.to_dict()))
+    samples = _samples(restored)
+    assert samples[(GAUGE_THREADS, ())] == 6.0
+    assert samples[(GAUGE_UTILITY, ())] == restored.state.total_utility()
+    assert samples[(QUEUE_DEPTH, ())] == 0.0
+    residuals = {k for k in samples if k[0] == SERVER_RESIDUAL}
+    assert residuals == {(SERVER_RESIDUAL, (("server", str(j)),)) for j in range(2)}
+
+
+def test_bound_gauge_reads_the_certificate_after_every_resident_left():
+    svc = AllocationService(ClusterState(2, 100.0))
+    bus = InProcessTransport(svc)
+    tids = ["a", "b", "c"]
+    bus.request(*[SubmitThread(t, LogUtility(1.0, 2.0, 100.0)) for t in tids])
+    assert _samples(svc)[(GAUGE_BOUND, ())] > 0.0
+    for t in tids:
+        bus.request(RemoveThread(t))
+    assert svc.status()["last_bound"] == 0.0
+    assert _samples(svc)[(GAUGE_BOUND, ())] == 0.0
+    assert _samples(svc)[(GAUGE_THREADS, ())] == 0.0
 
 
 def test_request_latency_labelled_per_op():
